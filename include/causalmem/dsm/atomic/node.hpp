@@ -67,6 +67,19 @@ class AtomicNode final : public SharedMemory {
     WriteTag tag{};
   };
 
+  /// A blocked READ or WRITE awaiting its reply.
+  struct PendingRequest {
+    std::promise<Message> reply;
+    /// inv_count(addr) when the request was sent. An owner sends a reply
+    /// after releasing its mutex, so an INV for a write that follows the
+    /// reply's serve point can overtake the reply on the channel. The INV
+    /// then finds nothing to drop and takes this node out of the copyset,
+    /// so a copy installed from the reply afterwards would stay stale
+    /// forever. A reply is therefore cached only if no INV for its
+    /// location arrived while the request was outstanding.
+    std::uint64_t inv_count_at_send{0};
+  };
+
   /// An invalidation round in progress at the owner for one location.
   struct PendingWrite {
     Value value{0};
@@ -97,7 +110,8 @@ class AtomicNode final : public SharedMemory {
                    std::uint64_t trace_id);
 
   OwnedCell& owned_cell(Addr x);
-  std::future<Message> register_pending(std::uint64_t rid);
+  std::future<Message> register_pending(std::uint64_t rid, Addr x);
+  [[nodiscard]] std::uint64_t inv_count(Addr x) const;
 
   /// Mints a correlation id for one remote (or fan-out-bearing) operation:
   /// globally unique, never 0. Caller holds mu_.
@@ -119,7 +133,8 @@ class AtomicNode final : public SharedMemory {
   std::unordered_map<Addr, CachedCell> cache_;
   std::unordered_map<Addr, PendingWrite> in_flight_;
   std::unordered_map<Addr, std::deque<Message>> deferred_;
-  std::unordered_map<std::uint64_t, std::promise<Message>> pending_;
+  std::unordered_map<std::uint64_t, PendingRequest> pending_;
+  std::unordered_map<Addr, std::uint64_t> invs_applied_;  ///< INVs per location
   std::uint64_t next_rid_{1};
   std::uint64_t trace_seq_{0};  ///< per-node trace-id counter (new_trace_id)
 };

@@ -12,12 +12,13 @@
 //              replies with its merged clock.
 //   discard  — drops a cached copy (replacement and liveness).
 //
-// Incoming requests are serviced on the transport's delivery thread while
-// application reads/writes run on the node's application thread; a single
-// operation mutex makes every protocol step atomic, which is the paper's
-// "each operation must be executed atomically and owners must fairly
-// alternate between issuing reads and writes and responding to READ and
-// WRITE messages".
+// Incoming requests are serviced on the transport's delivery thread (or on
+// the requesting thread itself, for a blocking WRITE delivered caller-run)
+// while application reads/writes run on the node's application thread; a
+// single operation mutex makes every protocol step atomic, which is the
+// paper's "each operation must be executed atomically and owners must
+// fairly alternate between issuing reads and writes and responding to READ
+// and WRITE messages".
 #pragma once
 
 #include <condition_variable>
@@ -264,12 +265,20 @@ class CausalNode final : public SharedMemory {
     return cfg_.copysets || cfg_.push_invalidation || cfg_.scoped_catchup;
   }
 
-  /// The ONLY way protocol/recovery frames leave this node: drains the
-  /// per-peer piggyback queues (unsubs, invalidation notices, aggregated
-  /// acks) into the message's v4 trailer under piggy_mu_, then hands the
-  /// frame to the transport. Lock order: mu_ -> piggy_mu_ (callers may hold
-  /// mu_; this takes only piggy_mu_).
+  /// With send_msg_held, the ONLY way protocol/recovery frames leave this
+  /// node: drains the per-peer piggyback queues (unsubs, invalidation
+  /// notices, aggregated acks) into the message's v4 trailer under
+  /// piggy_mu_, then hands the frame to the transport. Lock order: mu_ ->
+  /// piggy_mu_ (callers may hold mu_; this takes only piggy_mu_).
   void send_msg(Message&& m);
+
+  /// send_msg through the transport's two-step send: a blocking WRITE is
+  /// queued here, under mu_, and the caller delivers it itself with
+  /// transport_.deliver_held() once mu_ is released.
+  [[nodiscard]] HeldSend send_msg_held(Message&& m);
+
+  /// Moves the piggyback queues' entries for m.to into m's v4 trailer.
+  void attach_piggyback(Message& m);
 
   /// Applies an incoming frame's v4 trailer before handler dispatch:
   /// unsubscribes the sender from named pages, drops cached pages named in

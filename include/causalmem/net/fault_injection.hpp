@@ -60,6 +60,8 @@ class FaultyTransport final : public Transport {
   void register_node(NodeId id, Handler handler) override;
   void start() override;
   void send(Message m) override;
+  [[nodiscard]] HeldSend send_held(Message m) override;
+  void deliver_held(HeldSend held) override;
   void shutdown() override;
   [[nodiscard]] std::size_t node_count() const override {
     return inner_->node_count();
@@ -134,6 +136,10 @@ class FaultyTransport final : public Transport {
     return *channels_[from * inner_->node_count() + to];
   }
   void bump_node(NodeId node, Counter c) noexcept;
+  /// Applies crash, partition and the fault model to one send. True when
+  /// `m` goes on to the inner transport now, false when it was dropped or
+  /// delayed (a duplicate copy is queued here and `m` still goes on).
+  [[nodiscard]] bool admit(Message& m);
   void enqueue_delayed(Message m, std::chrono::microseconds delay);
   void run_timer();
 

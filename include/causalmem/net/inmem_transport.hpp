@@ -3,15 +3,26 @@
 // (src,dst) channel's delivery deadlines monotonic, so jittered latency can
 // never reorder a channel.
 //
-// Fast path: reply-type messages on an idle zero-latency channel are
-// delivered inline on the sender's thread instead of waking the receiver's
-// worker, eliding two context switches per request/reply round trip. The
-// per-channel in-flight count (incremented before a message is queued,
-// decremented only after its handler returns) makes the idle check exact:
-// an inline delivery can never overtake a queued or in-delivery message on
-// the same channel, so per-channel FIFO is preserved. Only message types
-// that every protocol sends with no node lock held are eligible — see
-// inline_eligible() in the .cpp for the proof obligation.
+// Three kinds of thread deliver to an endpoint, the last two only on
+// zero-latency channels:
+//   - its worker, which pops queued messages;
+//   - a requester redeeming a send_held() ticket (caller-run delivery): it
+//     pops its own queued message, after any ready ones queued before it,
+//     and runs the receiver's handler itself, so the worker is never woken
+//     for it;
+//   - the sender of a reply-type message on an idle channel (inline
+//     delivery), which runs the handler without queueing at all.
+// The worker and caller-run deliveries share one delivery slot per
+// endpoint, so queued messages are delivered one at a time, in queue order,
+// each by exactly one thread. Each channel counts its queued and
+// in-delivery messages and flags a running inline delivery: an inline
+// delivery needs a completely idle channel, and a queued message is never
+// delivered while an inline delivery on its channel still runs. A
+// channel's handlers therefore run strictly one after another, in send
+// order, whichever threads run them.
+// Only message types that every protocol sends with no node lock held are
+// inline-eligible — see inline_eligible() in the .cpp for the proof
+// obligation; caller-run delivery is the requester's explicit choice.
 #pragma once
 
 #include <atomic>
@@ -40,6 +51,9 @@ class InMemTransport final : public Transport {
   void register_node(NodeId id, Handler handler) override;
   void start() override;
   void send(Message m) override;
+  /// Holds the message only on a zero-latency channel; elsewhere send().
+  [[nodiscard]] HeldSend send_held(Message m) override;
+  void deliver_held(HeldSend held) override;
   void shutdown() override;
   [[nodiscard]] std::size_t node_count() const override { return endpoints_.size(); }
 
@@ -76,6 +90,9 @@ class InMemTransport final : public Transport {
     std::condition_variable cv;
     std::priority_queue<Envelope, std::vector<Envelope>, EnvelopeLater> queue;
     std::uint64_t next_seq{0};
+    // The delivery slot: a popped queued message is being delivered, by the
+    // worker or by a caller-run requester.
+    bool delivering{false};
     bool stopped{false};
     std::jthread worker;
   };
@@ -93,12 +110,26 @@ class InMemTransport final : public Transport {
     ClockCodecState tx;
     ClockCodecState rx;
     Message scratch;
-    // Messages queued or in delivery on this channel. 0 means the channel is
-    // completely idle, which is what licenses the inline-delivery fast path.
+    // Queued messages on this channel, counting one whose delivery is
+    // still running, plus kInlineRunning while an inline delivery runs. 0
+    // means the channel is completely idle, which is what licenses the
+    // inline-delivery fast path.
     std::atomic<std::uint32_t> inflight{0};
   };
+  static constexpr std::uint32_t kInlineRunning = 1U << 31;
 
+  [[nodiscard]] HeldSend post(Message m, bool hold);
+  /// Pops ep's first message and delivers it on this thread, holding the
+  /// delivery slot. Called with ep.mu held and the slot free; returns with
+  /// ep.mu held again and the slot free.
+  void deliver_next(Endpoint& ep, std::unique_lock<std::mutex>& lock);
+  /// Whether ep's first message may be delivered now: the slot is free, its
+  /// deadline has passed and no inline delivery runs on its channel.
+  [[nodiscard]] bool next_is_ready(const Endpoint& ep);
   void run_endpoint(Endpoint& ep);
+  [[nodiscard]] Channel& channel_of(const Message& m) {
+    return *channels_[m.from * endpoints_.size() + m.to];
+  }
   [[nodiscard]] Clock::time_point next_deadline_locked(Channel& ch);
 
   LatencyModel latency_;

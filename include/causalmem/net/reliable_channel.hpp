@@ -70,6 +70,8 @@ class ReliableChannel final : public Transport {
   void register_node(NodeId id, Handler handler) override;
   void start() override;
   void send(Message m) override;
+  [[nodiscard]] HeldSend send_held(Message m) override;
+  void deliver_held(HeldSend held) override;
   void shutdown() override;
   [[nodiscard]] std::size_t node_count() const override {
     return inner_->node_count();
@@ -148,12 +150,12 @@ class ReliableChannel final : public Transport {
     std::vector<std::uint8_t> present;
     // True while one thread is popping ready frames and delivering them
     // outside the lock. Frames can arrive on multiple threads (the inner
-    // transport's delivery worker, and sender threads when the inner
-    // transport delivers replies inline), so without this flag two threads
-    // could each pop a ready batch and then interleave their out-of-lock
-    // handler calls, breaking per-channel FIFO. The drainer re-checks the
-    // ring after each batch, so frames installed during its delivery are
-    // picked up before it retires.
+    // transport's delivery worker, sender threads when the inner transport
+    // delivers replies inline, and writers redeeming a held send), so
+    // without this flag two threads could each pop a ready batch and then
+    // interleave their out-of-lock handler calls, breaking per-channel
+    // FIFO. The drainer re-checks the ring after each batch, so frames
+    // installed during its delivery are picked up before it retires.
     bool draining{false};
   };
 
@@ -161,6 +163,10 @@ class ReliableChannel final : public Transport {
     return *channels_[from * inner_->node_count() + to];
   }
   void bump_node(NodeId node, Counter c) noexcept;
+  /// Stamps an outgoing message with its channel sequence number and the
+  /// reverse channel's ack, and keeps a copy for retransmission. False
+  /// after shutdown (the message is dropped).
+  [[nodiscard]] bool sequence(Message& m);
   void on_receive(const Message& m);
   void apply_ack(NodeId sender, NodeId receiver, std::uint64_t acked);
   void send_ack(NodeId receiver, NodeId sender, std::uint64_t acked);

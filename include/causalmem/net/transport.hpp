@@ -3,8 +3,10 @@
 // ("reliable, ordered message passing between any two processors").
 //
 // Delivery invokes the destination's handler on the transport's delivery
-// thread; handlers must be non-blocking state machines (they may send
-// messages and complete futures, never wait for other messages).
+// thread, or on a sending thread where the transport runs a delivery in
+// place (InMemTransport's inline replies and caller-run held sends);
+// handlers must be non-blocking state machines (they may send messages and
+// complete futures, never wait for other messages).
 #pragma once
 
 #include <chrono>
@@ -16,6 +18,16 @@
 #include "causalmem/stats/counters.hpp"
 
 namespace causalmem {
+
+/// Ticket for a message queued by Transport::send_held(), redeemed by
+/// deliver_held(). Empty when the transport had nothing to hold (it sent
+/// the message the ordinary way, or dropped it).
+struct HeldSend {
+  NodeId to{kNoNode};
+  std::uint64_t seq{0};  ///< the transport's id for the queued entry
+
+  [[nodiscard]] bool empty() const noexcept { return to == kNoNode; }
+};
 
 class Transport {
  public:
@@ -41,6 +53,22 @@ class Transport {
   /// Enqueues `m` for delivery to `m.to`. Never blocks for the receiver.
   /// Sends after shutdown are dropped (nodes are quiescing).
   virtual void send(Message m) = 0;
+
+  /// First step of a two-step send, for a requester that will block on the
+  /// reply. Fixes `m`'s position in its channel exactly like send() — call
+  /// it where send() would be called, locks held — but a transport that
+  /// can run the delivery on the caller's thread queues the message without
+  /// waking the receiver and returns a ticket. The default is send().
+  [[nodiscard]] virtual HeldSend send_held(Message m) {
+    send(std::move(m));
+    return {};
+  }
+
+  /// Second step: delivers the message `held` stands for on this thread if
+  /// it is still queued and next in line, else hands it to the receiver's
+  /// delivery thread. Call it once per ticket, after releasing every lock
+  /// the send_held() call site held: the receiver's handler may run here.
+  virtual void deliver_held(HeldSend held) { (void)held; }
 
   /// Stops delivery and joins internal threads. Idempotent.
   virtual void shutdown() = 0;

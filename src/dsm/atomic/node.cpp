@@ -88,7 +88,7 @@ Value AtomicNode::read(Addr x) {
     std::unique_lock lock(mu_);
     rid = next_rid_++;
     tid = new_trace_id();
-    fut = register_pending(rid);
+    fut = register_pending(rid, x);
   }
   Message req;
   req.type = MsgType::kRead;
@@ -100,9 +100,10 @@ Value AtomicNode::read(Addr x) {
   stats_.bump(Counter::kMsgReadRequest);
   transport_.send(std::move(req));
 
-  // The cached copy was installed by complete_pending on the delivery
-  // thread, *before* this future resolved — so an INV that the owner sends
-  // after our R_REPLY (FIFO channel) can never race past the install.
+  // The cached copy was installed by complete_pending, in the delivery,
+  // *before* this future resolved — so an INV that the owner sends after
+  // our R_REPLY (FIFO channel) can never race past the install, and one
+  // sent before it stops the install (PendingRequest).
   const Message rep = fut.get();
   const OpTiming done = op_start.close();
   record_op_done(stats_, tr, LatencyMetric::kReadNs,
@@ -152,7 +153,7 @@ void AtomicNode::write(Addr x, Value v) {
     tag = WriteTag{id_, ++write_seq_};
     rid = next_rid_++;
     tid = new_trace_id();
-    fut = register_pending(rid);
+    fut = register_pending(rid, x);
   }
   Message req;
   req.type = MsgType::kWrite;
@@ -299,6 +300,7 @@ void AtomicNode::handle_inv(const Message& m) {
   {
     std::unique_lock lock(mu_);
     cache_.erase(m.addr);
+    ++invs_applied_[m.addr];
     stats_.bump(Counter::kInvalidationApplied);
     if (obs::Tracer* t = stats_.tracer()) {
       t->record(obs::TraceEventKind::kInvalidate, 0, m.from, m.addr, nullptr,
@@ -396,12 +398,17 @@ void AtomicNode::complete_pending(const Message& m) {
   std::unique_lock lock(mu_);
   auto it = pending_.find(m.request_id);
   CM_ASSERT_MSG(it != pending_.end(), "reply for unknown request");
-  std::promise<Message> prom = std::move(it->second);
+  std::promise<Message> prom = std::move(it->second.reply);
+  const bool overtaken = inv_count(m.addr) != it->second.inv_count_at_send;
   pending_.erase(it);
-  // Install the fetched/written copy here, on the delivery thread: the owner
-  // put us in the copyset before sending this reply, so any INV for this
-  // location is behind us on the FIFO channel and will observe the install.
-  if (!owns(m.addr)) {
+  // Install the fetched/written copy here, in the delivery: the owner put
+  // us in the copyset before sending this reply, so any INV for this
+  // location sent after the reply is behind it on the FIFO channel and
+  // will observe the install. An INV that overtook the reply was sent in
+  // the window between the serve point and the send, and may be for a
+  // write that supersedes the reply's value: cache nothing then (the value
+  // is still this operation's result — it was current at the serve point).
+  if (!owns(m.addr) && !overtaken) {
     cache_[m.addr] = CachedCell{m.value, m.tag};
   }
   lock.unlock();
@@ -412,10 +419,17 @@ AtomicNode::OwnedCell& AtomicNode::owned_cell(Addr x) {
   return owned_.try_emplace(x).first->second;
 }
 
-std::future<Message> AtomicNode::register_pending(std::uint64_t rid) {
+std::future<Message> AtomicNode::register_pending(std::uint64_t rid,
+                                                   Addr x) {
   auto [it, inserted] = pending_.try_emplace(rid);
   CM_ASSERT(inserted);
-  return it->second.get_future();
+  it->second.inv_count_at_send = inv_count(x);
+  return it->second.reply.get_future();
+}
+
+std::uint64_t AtomicNode::inv_count(Addr x) const {
+  const auto it = invs_applied_.find(x);
+  return it == invs_applied_.end() ? 0 : it->second;
 }
 
 }  // namespace causalmem

@@ -155,8 +155,8 @@ ReadResult CausalNode::try_read(Addr x) {
 
     // The reply was already applied (clock merge, per-cell install
     // preferring locally newer own writes, invalidation sweep, observer
-    // notification) by complete_pending on the delivery thread — in FIFO
-    // position, so a later WRITE service can never sweep past a
+    // notification) by complete_pending, on whichever thread delivered it —
+    // in FIFO position, so a later WRITE service can never sweep past a
     // not-yet-installed stale copy, and the recorded per-node operation
     // order is the order effects actually took place (which is what makes
     // several application threads per node sound). complete_pending put the
@@ -282,16 +282,22 @@ OpStatus CausalNode::try_write(Addr x, Value v) {
   req.trace_id = tid;
   stats_.bump(Counter::kMsgWriteRequest);
   std::uint64_t epoch_at_send = transport_.endpoint_epoch(id_);
-  send_msg(Message(req));
-  lock.unlock();
-
   if (async) {
+    send_msg(Message(req));
+    lock.unlock();
     // Certification happens in the background (complete_pending); deadline
     // handling does not apply — flush() is the fence.
     record_op_done(stats_, tr, LatencyMetric::kWriteNs,
                    obs::TraceEventKind::kWriteDone, x, op_start.close(), tid);
     return OpStatus::kOk;
   }
+  // Caller-run delivery: the WRITE takes its channel position here, under
+  // the mutex, and this thread delivers it once the mutex is released, so
+  // the owner's serve_write (and, on an idle reply channel, our own
+  // complete_pending) runs here instead of costing two thread wake-ups.
+  HeldSend held = send_msg_held(Message(req));
+  lock.unlock();
+  transport_.deliver_held(held);
 
   // Deadline-bounded certification: every retry round re-sends the SAME
   // tag and issue stamp (idempotent at the owner — serve_write recognizes
@@ -311,12 +317,15 @@ OpStatus CausalNode::try_write(Addr x, Value v) {
       retry.to = target;
       retry.request_id = rid;
       stats_.bump(Counter::kMsgWriteRequest);
-      send_msg(std::move(retry));
+      held = send_msg_held(std::move(retry));
+      relock.unlock();
+      transport_.deliver_held(held);
     }
     const std::uint64_t deadline = bounded ? obs::now_ns() + timeout_ns : 0;
     if (await_reply(fut, rid, deadline)) {
-      // Clock merge and cache refresh happened in complete_pending on the
-      // delivery thread (FIFO position — see the read path comment).
+      // Clock merge and cache refresh happened in complete_pending, in
+      // FIFO position (see the read path comment) — on this very thread
+      // when the WRITE was delivered here and its reply came back inline.
       (void)fut.get();
       record_op_done(stats_, tr, LatencyMetric::kWriteNs,
                      obs::TraceEventKind::kWriteDone, x, op_start.close(),
@@ -728,8 +737,8 @@ void CausalNode::complete_pending(const Message& m) {
   const VectorClock serve_snapshot = std::move(it->second.serve_snapshot);
   pending_.erase(it);
 
-  // Apply the reply HERE, on the delivery thread, so the install/sweep is
-  // atomic with respect to — and FIFO-ordered against — owner servicing.
+  // Apply the reply HERE, in the delivery, so the install/sweep is atomic
+  // with respect to — and FIFO-ordered against — owner servicing.
   // (If the blocked application thread applied it after wakeup, a WRITE
   // service arriving after this reply could run its invalidation sweep
   // before the stale install landed: a causal violation.)
@@ -1449,6 +1458,16 @@ void CausalNode::notify_unreachable(MsgType op, NodeId target, Addr x) {
 // --------------------------------------------------------------------------
 
 void CausalNode::send_msg(Message&& m) {
+  attach_piggyback(m);
+  transport_.send(std::move(m));
+}
+
+HeldSend CausalNode::send_msg_held(Message&& m) {
+  attach_piggyback(m);
+  return transport_.send_held(std::move(m));
+}
+
+void CausalNode::attach_piggyback(Message& m) {
   if (copysets_on() && m.to != id_) {
     std::scoped_lock pl(piggy_mu_);
     if (auto it = pending_unsubs_.find(m.to); it != pending_unsubs_.end()) {
@@ -1466,7 +1485,6 @@ void CausalNode::send_msg(Message&& m) {
       pending_inval_acks_.erase(it);
     }
   }
-  transport_.send(std::move(m));
 }
 
 void CausalNode::apply_piggyback(const Message& m) {

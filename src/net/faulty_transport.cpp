@@ -66,7 +66,20 @@ void FaultyTransport::set_partition(NodeId from, NodeId to, bool blocked) {
 }
 
 void FaultyTransport::send(Message m) {
-  if (stopping_.load(std::memory_order_acquire)) return;
+  if (admit(m)) inner_->send(std::move(m));
+}
+
+HeldSend FaultyTransport::send_held(Message m) {
+  if (!admit(m)) return {};
+  return inner_->send_held(std::move(m));
+}
+
+void FaultyTransport::deliver_held(HeldSend held) {
+  inner_->deliver_held(held);
+}
+
+bool FaultyTransport::admit(Message& m) {
+  if (stopping_.load(std::memory_order_acquire)) return false;
   const std::size_t n = inner_->node_count();
   CM_EXPECTS(m.from < n && m.to < n);
 
@@ -75,7 +88,7 @@ void FaultyTransport::send(Message m) {
     drops_.fetch_add(1, std::memory_order_relaxed);
     bump_node(m.from, Counter::kNetFaultDrop);
     trace_msg(m.from, obs::TraceEventKind::kFaultDrop, m);
-    return;
+    return false;
   }
 
   bool dup = false;
@@ -87,7 +100,7 @@ void FaultyTransport::send(Message m) {
       drops_.fetch_add(1, std::memory_order_relaxed);
       bump_node(m.from, Counter::kNetFaultDrop);
       trace_msg(m.from, obs::TraceEventKind::kFaultDrop, m);
-      return;
+      return false;
     }
     dup = ch.rng.chance(model_.dup_rate);
     if (dup || ch.rng.chance(model_.delay_rate)) {
@@ -108,17 +121,16 @@ void FaultyTransport::send(Message m) {
     bump_node(m.from, Counter::kNetFaultDup);
     trace_msg(m.from, obs::TraceEventKind::kFaultDup, m);
     enqueue_delayed(m, delay);
-    inner_->send(std::move(m));
-    return;
+    return true;
   }
   if (delay.count() > 0) {
     delays_.fetch_add(1, std::memory_order_relaxed);
     bump_node(m.from, Counter::kNetFaultDelay);
     trace_msg(m.from, obs::TraceEventKind::kFaultDelay, m);
     enqueue_delayed(std::move(m), delay);
-    return;
+    return false;
   }
-  inner_->send(std::move(m));
+  return true;
 }
 
 void FaultyTransport::enqueue_delayed(Message m,

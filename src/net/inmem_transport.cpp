@@ -16,10 +16,14 @@ namespace {
 // itself send) before send() returns. Reply types qualify: all four DSM
 // node implementations build replies under their mutex but send after
 // releasing it, and ReliableChannel's acks are sent outside its channel
-// locks. Request types do NOT qualify (AtomicNode sends kInvalidate under
-// its mutex; requesters send while their own reply future is registered),
-// and one-way updates (kBroadcastUpdate, kHeartbeat) stay on the queued
-// path so their fan-out keeps its cost off the sending thread.
+// locks. Request types do NOT qualify: AtomicNode sends kInvalidate under
+// its mutex, and requesters send under their operation mutex so that
+// channel order equals operation order (DESIGN.md §6 rule 5a). A requester
+// that wants its request delivered on its own thread uses the two-step
+// send_held()/deliver_held() instead, which runs the handler only after
+// it has released that mutex. One-way updates (kBroadcastUpdate,
+// kHeartbeat) stay on the queued path so their fan-out keeps its cost off
+// the sending thread.
 constexpr bool inline_eligible(MsgType t) noexcept {
   switch (t) {
     case MsgType::kReadReply:
@@ -96,12 +100,18 @@ InMemTransport::Clock::time_point InMemTransport::next_deadline_locked(
   return deadline;
 }
 
-void InMemTransport::send(Message m) {
+void InMemTransport::send(Message m) { (void)post(std::move(m), false); }
+
+HeldSend InMemTransport::send_held(Message m) {
+  return post(std::move(m), true);
+}
+
+HeldSend InMemTransport::post(Message m, bool hold) {
   CM_EXPECTS(m.from < endpoints_.size());
   CM_EXPECTS(m.to < endpoints_.size());
-  if (stopping_.load(std::memory_order_acquire)) return;
+  if (stopping_.load(std::memory_order_acquire)) return {};
 
-  Channel& ch = *channels_[m.from * endpoints_.size() + m.to];
+  Channel& ch = channel_of(m);
   Clock::time_point deadline{};
   bool try_inline = false;
   {
@@ -118,7 +128,10 @@ void InMemTransport::send(Message m) {
       std::swap(m, ch.scratch);
     }
     const LatencyModel& lat = ch.has_override ? ch.override_latency : latency_;
-    try_inline = lat.is_zero() && inline_eligible(m.type);
+    // Only a zero-latency message is due the moment it is queued, so only
+    // then can the caller deliver it; otherwise holding is plain sending.
+    hold = hold && lat.is_zero();
+    try_inline = !hold && lat.is_zero() && inline_eligible(m.type);
     if (!try_inline) deadline = next_deadline_locked(ch);
   }
 
@@ -128,66 +141,118 @@ void InMemTransport::send(Message m) {
 
   Endpoint& ep = *endpoints_[m.to];
   if (try_inline) {
-    // Claim the idle channel (0 -> 1). Success means nothing is queued or
-    // mid-delivery on it, so delivering here cannot reorder the channel;
-    // holding the claim until the handler returns keeps it that way. The
-    // acquire pairs with the release decrements below, so the handler sees
-    // every effect of the channel's previous delivery. On a busy channel,
-    // fall through to the queue (the deadline was skipped above: a
-    // zero-latency channel's deadline is just "now").
+    // Claim the idle channel (0 -> kInlineRunning). Success means nothing
+    // is queued or mid-delivery on it, so delivering here cannot reorder
+    // the channel; holding the claim until the handler returns keeps it
+    // that way. The acquire pairs with the release decrements, so the
+    // handler sees every effect of the channel's previous delivery. On a
+    // busy channel, fall through to the queue (the deadline was skipped
+    // above: a zero-latency channel's deadline is just "now").
     std::uint32_t idle = 0;
-    if (ch.inflight.compare_exchange_strong(idle, 1,
+    if (ch.inflight.compare_exchange_strong(idle, kInlineRunning,
                                             std::memory_order_acq_rel)) {
       trace_msg(m.to, obs::TraceEventKind::kRecv, m);
       ep.handler(m);
       delivered_.fetch_add(1, std::memory_order_relaxed);
-      ch.inflight.fetch_sub(1, std::memory_order_release);
-      return;
+      if (ch.inflight.fetch_sub(kInlineRunning, std::memory_order_release) !=
+          kInlineRunning) {
+        // Messages queued on the channel meanwhile waited for this handler
+        // (next_is_ready). Taking ep.mu first means a worker that saw the
+        // claim is already waiting, so this wake-up cannot be lost.
+        { std::scoped_lock lock(ep.mu); }
+        ep.cv.notify_one();
+      }
+      return {};
     }
     std::scoped_lock lock(ch.mu);
     deadline = next_deadline_locked(ch);
   }
 
+  HeldSend held;
   {
     std::scoped_lock lock(ep.mu);
-    if (ep.stopped) return;
+    if (ep.stopped) return {};
     // Count before the push is visible: any send that happens-after this one
     // observes a non-idle channel and cannot jump the queue.
     ch.inflight.fetch_add(1, std::memory_order_relaxed);
+    if (hold) held = HeldSend{m.to, ep.next_seq};
     ep.queue.push(Envelope{deadline, ep.next_seq++, std::move(m)});
   }
-  ep.cv.notify_one();
+  if (!hold) ep.cv.notify_one();
+  return held;
+}
+
+void InMemTransport::deliver_held(HeldSend held) {
+  if (held.empty()) return;
+  Endpoint& ep = *endpoints_[held.to];
+  std::unique_lock lock(ep.mu);
+  // Deliver the held message here, after any ready messages queued before
+  // it: the worker would have to wake up for those first anyway.
+  while (next_is_ready(ep) && ep.queue.top().seq <= held.seq) {
+    const bool last = ep.queue.top().seq == held.seq;
+    deliver_next(ep, lock);
+    if (last) break;
+  }
+  // Whatever is still queued, the held message included when the slot was
+  // taken or an inline delivery held up its channel, is the worker's.
+  const bool wake = !ep.queue.empty();
+  lock.unlock();
+  if (wake) ep.cv.notify_one();
+}
+
+bool InMemTransport::next_is_ready(const Endpoint& ep) {
+  if (ep.delivering || ep.queue.empty()) return false;
+  const Envelope& next = ep.queue.top();
+  // The acquire pairs with the inline path's release: a delivery that sees
+  // the claim gone also sees the inline handler's effects.
+  return next.deliver_at <= Clock::now() &&
+         (channel_of(next.msg).inflight.load(std::memory_order_acquire) &
+          kInlineRunning) == 0;
+}
+
+void InMemTransport::deliver_next(Endpoint& ep,
+                                  std::unique_lock<std::mutex>& lock) {
+  // priority_queue::top() is const, but moving out before pop() is safe
+  // (pop only needs the element to be assignable) and saves copying the
+  // message's stamp and cells on every delivery.
+  Envelope env = std::move(const_cast<Envelope&>(ep.queue.top()));
+  ep.queue.pop();
+  ep.delivering = true;
+  lock.unlock();
+  trace_msg(env.msg.to, obs::TraceEventKind::kRecv, env.msg);
+  ep.handler(env.msg);
+  delivered_.fetch_add(1, std::memory_order_relaxed);
+  // Release the channel only after the handler returns: an inline send
+  // that observes 0 must also observe this delivery's effects.
+  channel_of(env.msg).inflight.fetch_sub(1, std::memory_order_release);
+  lock.lock();
+  ep.delivering = false;
 }
 
 void InMemTransport::run_endpoint(Endpoint& ep) {
   std::unique_lock lock(ep.mu);
   for (;;) {
-    ep.cv.wait(lock, [&] { return ep.stopped || !ep.queue.empty(); });
-    if (ep.stopped && ep.queue.empty()) return;
+    ep.cv.wait(lock, [&] {
+      return ep.stopped || (!ep.queue.empty() && !ep.delivering);
+    });
+    if (ep.stopped) return;  // shutdown() dropped the queue
     const auto deliver_at = ep.queue.top().deliver_at;
-    const auto now = Clock::now();
-    if (deliver_at > now) {
-      // Wait out the injected latency; a new earlier message cannot appear
-      // (deadlines are assigned at send time and the top is the earliest),
-      // but shutdown can, so re-check the predicate.
-      ep.cv.wait_until(lock, deliver_at,
-                       [&] { return ep.stopped && ep.queue.empty(); });
+    if (deliver_at > Clock::now()) {
+      // Wait out the injected latency, unless an earlier message (one on a
+      // zero-latency channel) takes the front or shutdown begins.
+      ep.cv.wait_until(lock, deliver_at, [&] {
+        return ep.stopped || ep.queue.empty() ||
+               ep.queue.top().deliver_at < deliver_at;
+      });
       continue;
     }
-    // priority_queue::top() is const, but moving out before pop() is safe
-    // (pop only needs the element to be assignable) and saves copying the
-    // message's stamp and cells on every delivery.
-    Envelope env = std::move(const_cast<Envelope&>(ep.queue.top()));
-    ep.queue.pop();
-    lock.unlock();
-    trace_msg(env.msg.to, obs::TraceEventKind::kRecv, env.msg);
-    ep.handler(env.msg);
-    delivered_.fetch_add(1, std::memory_order_relaxed);
-    // Release the channel only after the handler returns: an inline send
-    // that observes 0 must also observe this delivery's effects.
-    channels_[env.msg.from * endpoints_.size() + env.msg.to]->inflight
-        .fetch_sub(1, std::memory_order_release);
-    lock.lock();
+    if (!next_is_ready(ep)) {
+      // An inline delivery still runs on the first message's channel; it
+      // wakes this worker when it returns.
+      ep.cv.wait(lock);
+      continue;
+    }
+    deliver_next(ep, lock);
   }
 }
 

@@ -61,13 +61,23 @@ void ReliableChannel::start() {
 }
 
 void ReliableChannel::send(Message m) {
-  if (stopping_.load(std::memory_order_acquire)) return;
+  if (sequence(m)) inner_->send(std::move(m));
+}
+
+HeldSend ReliableChannel::send_held(Message m) {
+  if (!sequence(m)) return {};
+  return inner_->send_held(std::move(m));
+}
+
+void ReliableChannel::deliver_held(HeldSend held) {
+  inner_->deliver_held(held);
+}
+
+bool ReliableChannel::sequence(Message& m) {
+  if (stopping_.load(std::memory_order_acquire)) return false;
   const std::size_t n = inner_->node_count();
   CM_EXPECTS(m.from < n && m.to < n);
-  if (m.from == m.to) {  // loopback needs no reliability machinery
-    inner_->send(std::move(m));
-    return;
-  }
+  if (m.from == m.to) return true;  // loopback needs no reliability machinery
   {
     // Piggyback the reverse channel's cumulative ack. Separate critical
     // section from the sequence assignment below — channel locks never nest.
@@ -83,7 +93,7 @@ void ReliableChannel::send(Message m) {
     ch.outstanding.push_back(
         Pending{m, now + to_ns(config_.initial_rto), config_.initial_rto, now});
   }
-  inner_->send(std::move(m));
+  return true;
 }
 
 void ReliableChannel::apply_ack(NodeId sender, NodeId receiver,

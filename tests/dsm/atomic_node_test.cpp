@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <mutex>
+#include <optional>
 #include <thread>
 
 #include "causalmem/dsm/system.hpp"
@@ -127,6 +130,98 @@ TEST(AtomicNode, RandomWorkloadIsSequentiallyConsistent) {
       << h.to_string();
   // Sequential consistency implies causal consistency.
   EXPECT_FALSE(CausalChecker(h).check().has_value());
+}
+
+// In-memory transport that holds back the first message of one type sent
+// after arm(), until release(). An owner sends its replies after releasing
+// its mutex; holding one lets a test put the owner's next INV ahead of it,
+// which is the interleaving a preempted reply sender produces.
+class ReplyHoldingTransport final : public Transport {
+ public:
+  explicit ReplyHoldingTransport(std::size_t n) : inner_(n) {}
+
+  void register_node(NodeId id, Handler handler) override {
+    inner_.register_node(id, std::move(handler));
+  }
+  void start() override { inner_.start(); }
+  void send(Message m) override {
+    {
+      std::scoped_lock lock(mu_);
+      if (hold_type_ == m.type && !held_.has_value()) {
+        held_ = std::move(m);
+        cv_.notify_all();
+        return;
+      }
+    }
+    inner_.send(std::move(m));
+  }
+  void shutdown() override { inner_.shutdown(); }
+  [[nodiscard]] std::size_t node_count() const override {
+    return inner_.node_count();
+  }
+
+  void arm(MsgType type) {
+    std::scoped_lock lock(mu_);
+    hold_type_ = type;
+  }
+  void wait_held() {
+    std::unique_lock lock(mu_);
+    cv_.wait(lock, [&] { return held_.has_value(); });
+  }
+  void release() {
+    Message m;
+    {
+      std::scoped_lock lock(mu_);
+      m = std::move(*held_);
+      hold_type_.reset();
+    }
+    inner_.send(std::move(m));
+  }
+
+ private:
+  InMemTransport inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::optional<MsgType> hold_type_;
+  std::optional<Message> held_;
+};
+
+// Node 1 owns address 1; node 0 is the reader/writer whose reply is held.
+// The owner's write between the held reply's serve point and its delivery
+// invalidates node 0 first. Node 0 must not then cache the older reply:
+// it has left the copyset, so no later INV would ever reach that copy.
+void expect_no_stale_copy_after_overtaking_inv(MsgType held_reply) {
+  ReplyHoldingTransport t(2);
+  StripedOwnership ownership(2);
+  StatsRegistry stats(2);
+  AtomicNode n0(0, 2, ownership, t, stats.node(0), {});
+  AtomicNode n1(1, 2, ownership, t, stats.node(1), {});
+  t.start();
+  n1.write(1, 7);
+  t.arm(held_reply);
+  {
+    std::jthread requester([&] {
+      if (held_reply == MsgType::kReadReply) {
+        EXPECT_EQ(n0.read(1), 7);  // served before the owner's next write
+      } else {
+        n0.write(1, 5);
+      }
+    });
+    t.wait_held();
+    n1.write(1, 8);  // INV to node 0, ack, apply — all before the reply
+    t.release();
+  }
+  EXPECT_EQ(stats.node_snapshot(0)[Counter::kInvalidationApplied], 1u);
+  EXPECT_EQ(n0.read(1), 8);
+  t.shutdown();
+}
+
+TEST(AtomicNode, InvOvertakingReadReplyLeavesNoStaleCopy) {
+  expect_no_stale_copy_after_overtaking_inv(MsgType::kReadReply);
+}
+
+TEST(AtomicNode, InvOvertakingWriteReplyLeavesNoStaleCopy) {
+  expect_no_stale_copy_after_overtaking_inv(MsgType::kWriteReply);
 }
 
 TEST(AtomicNode, WorksOverTcpTransport) {

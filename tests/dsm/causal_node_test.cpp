@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <mutex>
 #include <thread>
 
 #include "causalmem/dsm/system.hpp"
@@ -244,6 +246,91 @@ TEST(CausalNode, ConcurrentWorkloadIsCausallyConsistent) {
   const auto violation = CausalChecker(recorder.history()).check();
   EXPECT_FALSE(violation.has_value())
       << violation->reason << "\n" << recorder.history().to_string();
+}
+
+// Forwards to an InMemTransport and records, per message type, the thread
+// that last ran a handler for it.
+class ThreadRecordingTransport final : public Transport {
+ public:
+  explicit ThreadRecordingTransport(std::size_t n) : inner_(n) {}
+
+  void register_node(NodeId id, Handler handler) override {
+    inner_.register_node(id, [this, h = std::move(handler)](const Message& m) {
+      {
+        std::scoped_lock lock(mu_);
+        handled_on_[m.type] = std::this_thread::get_id();
+      }
+      h(m);
+    });
+  }
+  void start() override { inner_.start(); }
+  void send(Message m) override { inner_.send(std::move(m)); }
+  HeldSend send_held(Message m) override {
+    return inner_.send_held(std::move(m));
+  }
+  void deliver_held(HeldSend held) override { inner_.deliver_held(held); }
+  void shutdown() override { inner_.shutdown(); }
+  [[nodiscard]] std::size_t node_count() const override {
+    return inner_.node_count();
+  }
+
+  [[nodiscard]] std::thread::id handled_on(MsgType type) {
+    std::scoped_lock lock(mu_);
+    return handled_on_[type];
+  }
+
+ private:
+  InMemTransport inner_;
+  std::mutex mu_;
+  std::map<MsgType, std::thread::id> handled_on_;
+};
+
+TEST(CausalNode, BlockingRemoteWriteRunsOnTheWritersThread) {
+  // On an idle system the writer delivers its own WRITE (caller-run), and
+  // the owner's W_REPLY comes back inline: the whole round trip runs on the
+  // writing thread, with the same two messages as ever.
+  ThreadRecordingTransport t(2);
+  StripedOwnership ownership(2);
+  StatsRegistry stats(2);
+  CausalNode n0(0, 2, ownership, t, stats.node(0), {});
+  CausalNode n1(1, 2, ownership, t, stats.node(1), {});
+  t.start();
+  n0.write(1, 5);  // node 1 owns address 1
+  EXPECT_EQ(t.handled_on(MsgType::kWrite), std::this_thread::get_id());
+  EXPECT_EQ(t.handled_on(MsgType::kWriteReply), std::this_thread::get_id());
+  EXPECT_EQ(stats.node_snapshot(0)[Counter::kMsgWriteRequest], 1u);
+  EXPECT_EQ(stats.node_snapshot(1)[Counter::kMsgWriteReply], 1u);
+  EXPECT_EQ(n1.read(1), 5);
+  t.shutdown();
+}
+
+TEST(CausalNode, SiblingThreadsWriteRemotelyThroughSharedEndpoints) {
+  // Several application threads per node, all writing locations the other
+  // node owns: callers race each other and the delivery workers for the
+  // owners' delivery slots. Each thread must read back its own last write,
+  // and every write must land.
+  constexpr int kThreads = 3;
+  constexpr Value kWrites = 200;
+  CausalSystem sys(2);
+  {
+    std::vector<std::jthread> threads;
+    for (NodeId p = 0; p < 2; ++p) {
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&sys, p, t] {
+          SharedMemory& mem = sys.memory(p);
+          const Addr a = 2 * static_cast<Addr>(t) + (1 - p);  // owner 1 - p
+          for (Value v = 1; v <= kWrites; ++v) {
+            mem.write(a, v);
+            EXPECT_EQ(mem.read(a), v);
+          }
+        });
+      }
+    }
+  }
+  for (Addr a = 0; a < 2 * kThreads; ++a) {
+    EXPECT_EQ(sys.memory(0).read(a), kWrites);
+    EXPECT_EQ(sys.memory(1).read(a), kWrites);
+  }
 }
 
 TEST(CausalNode, WorksOverTcpTransport) {

@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 namespace causalmem {
@@ -153,6 +155,111 @@ TEST(InMemTransport, ManyToOneAllDelivered) {
   }
   while (got.load() < kPer * (kNodes - 1)) std::this_thread::yield();
   EXPECT_EQ(got.load(), kPer * (kNodes - 1));
+  t.shutdown();
+}
+
+TEST(InMemTransport, QueuedMessageWaitsForInlineDeliveryOnItsChannel) {
+  // A reply on an idle zero-latency channel runs inline on the sender's
+  // thread. A message sent on the same channel while that handler still
+  // runs is queued behind it: its handler must not start before the
+  // reply's returns, or the receiver sees the channel out of order.
+  InMemTransport t(2);
+  std::atomic<bool> reply_running{false};
+  std::atomic<bool> reply_returned{false};
+  std::atomic<bool> second_started_early{false};
+  std::thread::id reply_thread;
+  t.register_node(0, [](const Message&) {});
+  t.register_node(1, [&](const Message& m) {
+    if (m.type == MsgType::kReadReply) {
+      reply_thread = std::this_thread::get_id();
+      reply_running.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      reply_returned.store(true);
+    } else if (!reply_returned.load()) {
+      second_started_early.store(true);
+    }
+  });
+  t.start();
+  std::thread::id replier_id;
+  std::jthread replier([&] {
+    replier_id = std::this_thread::get_id();
+    Message reply = make_msg(0, 1, 1);
+    reply.type = MsgType::kReadReply;
+    t.send(std::move(reply));
+  });
+  while (!reply_running.load()) std::this_thread::yield();
+  t.send(make_msg(0, 1, 2));  // queued: the channel is busy
+  while (t.delivered_count() < 2) std::this_thread::yield();
+  replier.join();
+  EXPECT_EQ(reply_thread, replier_id);  // the reply really ran inline
+  EXPECT_FALSE(second_started_early.load());
+  t.shutdown();
+}
+
+TEST(InMemTransport, HeldSendIsDeliveredOnTheCallersThread) {
+  InMemTransport t(2);
+  std::thread::id handled_on;
+  t.register_node(0, [](const Message&) {});
+  t.register_node(1, [&](const Message&) {
+    handled_on = std::this_thread::get_id();
+  });
+  t.start();
+  Message req = make_msg(0, 1, 1);
+  req.type = MsgType::kWrite;
+  const HeldSend held = t.send_held(std::move(req));
+  ASSERT_FALSE(held.empty());
+  t.deliver_held(held);
+  EXPECT_EQ(t.delivered_count(), 1u);
+  EXPECT_EQ(handled_on, std::this_thread::get_id());
+  t.shutdown();
+}
+
+TEST(InMemTransport, HeldSendFallsBackToWorkerWhileEndpointDelivers) {
+  // Node 1's worker is inside a slow handler, so the caller cannot take the
+  // endpoint's delivery slot: deliver_held returns without running the
+  // handler, and the worker delivers the held message afterwards.
+  InMemTransport t(3);
+  std::promise<void> unblock;
+  std::shared_future<void> unblocked = unblock.get_future().share();
+  std::atomic<bool> blocker_running{false};
+  std::atomic<bool> held_ran_here{false};
+  const std::thread::id main_id = std::this_thread::get_id();
+  t.register_node(0, [](const Message&) {});
+  t.register_node(2, [](const Message&) {});
+  t.register_node(1, [&](const Message& m) {
+    if (m.from == 0) {
+      blocker_running.store(true);
+      unblocked.wait();
+    } else if (std::this_thread::get_id() == main_id) {
+      held_ran_here.store(true);
+    }
+  });
+  t.start();
+  t.send(make_msg(0, 1, 1));
+  while (!blocker_running.load()) std::this_thread::yield();
+  Message req = make_msg(2, 1, 2);
+  req.type = MsgType::kWrite;
+  const HeldSend held = t.send_held(std::move(req));
+  t.deliver_held(held);
+  EXPECT_EQ(t.delivered_count(), 0u);
+  unblock.set_value();
+  while (t.delivered_count() < 2) std::this_thread::yield();
+  EXPECT_FALSE(held_ran_here.load());
+  t.shutdown();
+}
+
+TEST(InMemTransport, HeldSendOnLatencyChannelIsPlainSend) {
+  LatencyModel lat;
+  lat.base = std::chrono::microseconds(200);
+  InMemTransport t(2, lat);
+  std::atomic<int> got{0};
+  t.register_node(0, [](const Message&) {});
+  t.register_node(1, [&](const Message&) { got.fetch_add(1); });
+  t.start();
+  const HeldSend held = t.send_held(make_msg(0, 1, 1));
+  EXPECT_TRUE(held.empty());
+  t.deliver_held(held);  // a no-op: the worker was woken by the send
+  while (got.load() < 1) std::this_thread::yield();
   t.shutdown();
 }
 

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -285,6 +286,29 @@ TEST(ReliableChannel, CountersLandInAttachedStats) {
   // Retransmits happen on the sending node; dup-drops on the receiver.
   EXPECT_EQ(stats.node_snapshot(1)[Counter::kNetRetransmit], 0u);
   EXPECT_EQ(stats.node_snapshot(0)[Counter::kNetDupDropped], 0u);
+}
+
+TEST(ReliableChannel, HeldSendThroughDecoratorsRunsOnCallersThread) {
+  // Both decorators forward the two-step send, so a fault-free stack still
+  // delivers a held message on the caller's thread (in sequence: the
+  // reliable layer's receive side runs here too).
+  auto faulty = std::make_unique<FaultyTransport>(
+      std::make_unique<InMemTransport>(2), FaultModel{});
+  ReliableChannel rc(std::move(faulty));
+  std::thread::id handled_on;
+  SequenceSink sink;
+  rc.register_node(0, [](const Message&) {});
+  rc.register_node(1, [&, h = sink.handler()](const Message& m) {
+    handled_on = std::this_thread::get_id();
+    h(m);
+  });
+  rc.start();
+  const HeldSend held = rc.send_held(make_msg(0, 1, 0));
+  ASSERT_FALSE(held.empty());
+  rc.deliver_held(held);
+  EXPECT_EQ(handled_on, std::this_thread::get_id());
+  EXPECT_TRUE(sink.is_exactly_once_fifo(1));
+  rc.shutdown();
 }
 
 }  // namespace
