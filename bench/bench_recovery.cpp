@@ -40,7 +40,7 @@ struct RecoveryResult {
   std::chrono::microseconds restart{0};  ///< restart_node() wall time
   std::chrono::microseconds serve{0};    ///< first read of every owned page
   std::uint64_t restored_cells{0};
-  std::uint64_t recover_requests{0};  ///< fo.recover_request + catch-up polls
+  std::uint64_t recover_requests{0};  ///< fo.recover_request
   std::uint64_t wal_replayed{0};
   std::uint64_t checkpoints{0};
 
@@ -96,8 +96,7 @@ RecoveryResult run_recovery(std::uint64_t pages, bool keep_disk) {
   r.serve = us(t3, t4);
   const StatsSnapshot stats = sys.stats().total();
   r.restored_cells = stats[Counter::kPersistRestoredCells];
-  r.recover_requests = stats[Counter::kFoRecoverRequest] +
-                       stats[Counter::kPersistCatchupRequest];
+  r.recover_requests = stats[Counter::kFoRecoverRequest];
   r.wal_replayed = stats[Counter::kPersistWalReplayed];
   r.checkpoints = stats[Counter::kPersistCheckpoint];
   return r;

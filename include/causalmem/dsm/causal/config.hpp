@@ -97,14 +97,6 @@ struct CausalConfig {
   /// Queued notices per subscriber channel before a standalone INV_BATCH
   /// frame flushes the batch instead of waiting for piggyback traffic.
   std::size_t inval_batch_max{16};
-
-  /// Scope durable catch-up elections to live durable peers plus the page's
-  /// known subscribers instead of all live peers. Sound when certified
-  /// writes are durable at owners (sync-on-append, no media loss): any
-  /// strictly fresher copy lives at a durable owner or a subscriber. Falls
-  /// back to a full poll when the scope is empty or this node lost its
-  /// disk. Implies `copysets`.
-  bool scoped_catchup{false};
 };
 
 }  // namespace causalmem

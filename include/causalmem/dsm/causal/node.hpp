@@ -110,10 +110,10 @@ class CausalNode final : public SharedMemory {
   /// With a persist::Store attached the crash is honest: the owned cells do
   /// NOT survive in memory — they are reloaded from checkpoint + WAL
   /// (complete for every acknowledged write under sync_every_append), and
-  /// recovery elections for restored pages become writestamp-bounded
-  /// catch-up rounds that fetch only what some peer observed fresher. When
-  /// the disk is gone too, every page this node serves must first win a
-  /// peer election, exactly as if the page had migrated.
+  /// recovery elections for restored pages are seeded with the restored
+  /// copy, so peers send only what they observed fresher. When the disk is
+  /// gone too, every page this node serves must first win a peer election,
+  /// exactly as if the page had migrated.
   bool rejoin();
   [[nodiscard]] bool owns(Addr x) const override;
   void flush() override;
@@ -183,11 +183,10 @@ class CausalNode final : public SharedMemory {
   void serve_write(const Message& m);
   void complete_pending(const Message& m);
   void serve_sync(const Message& m);
+  /// Answers a RECOVER poll from the observation journal: a copy when the
+  /// request carries no stamp or when the journal's copy beats it under
+  /// fresher_stamp, else a payload-free "nothing fresher".
   void serve_recover(const Message& m);
-  /// Answers a writestamp-bounded catch-up request: a copy only when this
-  /// node observed one that beats the requester's durable bound
-  /// (fresher_stamp), else a payload-free "you're current".
-  void serve_catchup(const Message& m);
   void on_recover_reply(const Message& m);
 
   /// True when this node may serve/read the page from its own owned_ cells:
@@ -262,14 +261,14 @@ class CausalNode final : public SharedMemory {
 
   /// Any sharding feature on: subscriber sets are maintained.
   [[nodiscard]] bool copysets_on() const noexcept {
-    return cfg_.copysets || cfg_.push_invalidation || cfg_.scoped_catchup;
+    return cfg_.copysets || cfg_.push_invalidation;
   }
 
   /// With send_msg_held, the ONLY way protocol/recovery frames leave this
   /// node: drains the per-peer piggyback queues (unsubs, invalidation
-  /// notices, aggregated acks) into the message's v4 trailer under
-  /// piggy_mu_, then hands the frame to the transport. Lock order: mu_ ->
-  /// piggy_mu_ (callers may hold mu_; this takes only piggy_mu_).
+  /// notices) into the message's sharding trailer under piggy_mu_, then
+  /// hands the frame to the transport. Lock order: mu_ -> piggy_mu_
+  /// (callers may hold mu_; this takes only piggy_mu_).
   void send_msg(Message&& m);
 
   /// send_msg through the transport's two-step send: a blocking WRITE is
@@ -277,13 +276,13 @@ class CausalNode final : public SharedMemory {
   /// transport_.deliver_held() once mu_ is released.
   [[nodiscard]] HeldSend send_msg_held(Message&& m);
 
-  /// Moves the piggyback queues' entries for m.to into m's v4 trailer.
+  /// Moves the piggyback queues' entries for m.to into m's sharding trailer.
   void attach_piggyback(Message& m);
 
-  /// Applies an incoming frame's v4 trailer before handler dispatch:
-  /// unsubscribes the sender from named pages, drops cached pages named in
-  /// the invalidation list, accumulates ack bookkeeping. Takes mu_ and
-  /// piggy_mu_ in order; must not be called with either held.
+  /// Applies an incoming frame's sharding trailer before handler dispatch:
+  /// unsubscribes the sender from named pages and drops cached pages named
+  /// in the invalidation list. Takes mu_ (erase_page nests piggy_mu_
+  /// under it); must not be called with either held.
   void apply_piggyback(const Message& m);
 
   /// Owner-side apply hook: queues one invalidation notice to every
@@ -405,7 +404,6 @@ class CausalNode final : public SharedMemory {
   std::mutex piggy_mu_;
   std::unordered_map<NodeId, std::vector<Addr>> pending_unsubs_;
   std::unordered_map<NodeId, std::vector<Addr>> pending_invals_;
-  std::unordered_map<NodeId, std::uint32_t> pending_inval_acks_;
 
   FlatHashMap<std::uint64_t, Pending> pending_;
   std::uint64_t next_rid_{1};

@@ -97,10 +97,6 @@ class FailoverDirectory final : public Ownership {
   /// persistence-free systems are unaffected.
   void set_durable(NodeId id, bool durable);
 
-  [[nodiscard]] bool is_durable(NodeId id) const {
-    return durable_[id].load(std::memory_order_acquire);
-  }
-
   /// Attaches the consistent-hash ring whose successor order should drive
   /// failover migration. With a ring attached, suspect() walks the dead
   /// node's hash-ring successors (durable-preferred, as before) instead of

@@ -14,21 +14,9 @@
 namespace causalmem {
 
 /// Leading byte of every encoded message; bumped whenever the layout
-/// changes so a mixed-version mesh fails loudly instead of misparsing.
-/// v2: added this version byte and the clock mode framing (full/delta).
-/// v3: appended the trailing trace_id field. v2 frames are still accepted
-/// by decode (trace_id reads as 0), so a v3 reader tolerates v2 peers;
-/// a v2 reader rejects v3 frames loudly rather than misparsing.
-/// v4: appended the sharding trailer (unsub_pages / inval_pages page lists
-/// and the inval_acked counter) piggybacking copyset maintenance on every
-/// frame, plus the standalone kInvalBatch carrier type. v2/v3 frames are
-/// still accepted (the trailer reads as empty); older readers reject v4
-/// frames loudly.
-inline constexpr std::uint8_t kWireVersion = 4;
-
-/// Oldest wire version decode still accepts (tolerated-by-ignore: fields
-/// added since then read as zero).
-inline constexpr std::uint8_t kMinWireVersion = 2;
+/// changes. Every node runs the same codec, so decode accepts exactly this
+/// version and aborts on any other instead of misparsing.
+inline constexpr std::uint8_t kWireVersion = 5;
 
 enum class MsgType : std::uint8_t {
   // Causal owner protocol (Figure 4).
@@ -53,23 +41,17 @@ enum class MsgType : std::uint8_t {
   kHeartbeat,       ///< failure-detector probe (sent below the reliable layer)
   kSyncRequest,     ///< restarted node -> peer: send me your vector time
   kSyncReply,       ///< peer -> restarted node: my current vector time
-  kRecover,         ///< successor -> peer: your freshest copy of this page?
-  kRecoverReply,    ///< peer -> successor: copy + writestamp (accepted = have)
+  kRecover,         ///< successor -> peer: your copy of this page, if it
+                    ///< beats the stamp carried (empty stamp: any copy)?
+  kRecoverReply,    ///< peer -> successor: copy + writestamp (accepted) or
+                    ///< nothing fresher (!accepted, no payload)
 
-  // Durable recovery (persist layer). A restarted node that restored a page
-  // from checkpoint + WAL does not need the full copy again — it asks peers
-  // only for something FRESHER than its durable bound.
-  kCatchupRequest,  ///< restarted node -> peer: copy of x fresher than VT?
-  kCatchupReply,    ///< peer -> node: fresher copy (accepted) or "you're
-                    ///< current" (!accepted, no payload)
-
-  // Sharded copyset maintenance (docs/SHARDING.md, wire v4). A batch of
+  // Sharded copyset maintenance (docs/SHARDING.md). A batch of
   // invalidation notices normally piggybacks on whatever frame is next on
   // the channel (inval_pages below); this standalone carrier exists only to
   // flush a full batch when no protocol traffic is pending. One-way,
-  // advisory, no reply — acks aggregate on the inval_acked field of later
-  // reverse-direction frames.
-  kInvalBatch,
+  // advisory, no reply.
+  kInvalBatch,      ///< keep last: decode rejects any type byte above it
 };
 
 [[nodiscard]] const char* msg_type_name(MsgType t) noexcept;
@@ -115,14 +97,12 @@ struct Message {
   /// operation across nodes: assigned by the initiator when an operation
   /// first goes remote, echoed by owners into replies and propagated into
   /// invalidation fan-out. 0 = untraced (local ops, recovery traffic,
-  /// transport-internal frames, v2 peers). Wire-format v3 appends it to the
-  /// frame; decode of a v2 frame leaves it 0.
+  /// transport-internal frames).
   std::uint64_t trace_id{0};
 
-  /// Sharding trailer (wire v4, docs/SHARDING.md). All three piggyback on
-  /// whatever frame is next on the directed channel, so copyset maintenance
-  /// costs no extra round trips on the fault-free path; v2/v3 decodes leave
-  /// them empty/zero.
+  /// Sharding trailer (docs/SHARDING.md). Both lists piggyback on whatever
+  /// frame is next on the directed channel, so copyset maintenance costs no
+  /// extra round trips on the fault-free path.
   /// Page base addresses the sender no longer caches — the receiving owner
   /// drops the sender from those pages' copysets.
   std::vector<Addr> unsub_pages;
@@ -130,9 +110,6 @@ struct Message {
   /// any cached copy (advisory: a stale copy is also caught by the normal
   /// clock-comparison sweep, so loss is safe).
   std::vector<Addr> inval_pages;
-  /// Aggregated count of invalidation notices from the receiver that the
-  /// sender has applied since its last frame on this channel.
-  std::uint32_t inval_acked{0};
 
   /// Encodes into a pooled frame (common/arena.hpp): steady-state senders
   /// that FrameArena::release() the buffer after use pay no allocation.

@@ -54,7 +54,7 @@ enum class TraceEventKind : std::uint8_t {
   kApply,        ///< owner applied (certified) a remote write to memory
   kCheckpoint,   ///< durable checkpoint written (addr = cells checkpointed)
   kWalReplay,    ///< restart replayed the WAL (addr = records restored)
-  kCatchup,      ///< writestamp-bounded catch-up round for a restored page
+  kCatchup,      ///< election seeded by this node's own copy (stamp = seed)
   kShardInval,   ///< a piggybacked invalidation notice dropped a cached page
   kShardUnsub,   ///< owner removed a node from a page's copyset
   kKindCount,

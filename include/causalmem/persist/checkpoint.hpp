@@ -5,7 +5,7 @@
 // that under causal consistency each node may checkpoint independently, with
 // no barrier and no coordinated recovery line, because a restored node that
 // is "behind" merely exposes an older-but-causally-closed view which the
-// catch-up election then advances (see docs/PERSISTENCE.md). Atomic memory
+// seeded recovery election then advances (see docs/PERSISTENCE.md). Atomic memory
 // would need a coordinated snapshot here.
 //
 // Layout: 17-byte magic "causalmem-ckpt-v1" | u32 node | u32 n

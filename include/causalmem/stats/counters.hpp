@@ -65,6 +65,7 @@ enum class Counter : std::size_t {
   kFoFailover,           ///< this node became successor-owner for a peer
   kFoRecoverRequest,     ///< successor asked a peer for its freshest copy
   kFoRecoverReply,       ///< peer answered a recovery election request
+  kFoRecoverCopy,        ///< ...and its answer carried a copy of the page
   kFoSyncRequest,        ///< restarted node asked a peer for its clock
   kFoSyncReply,          ///< peer answered a restart resync request
   kFoRequestTimeout,     ///< one owner request round expired at its deadline
@@ -79,23 +80,17 @@ enum class Counter : std::size_t {
   kPersistCheckpoint,     ///< one checkpoint written (atomic replace)
   kPersistCkptRejected,   ///< a checkpoint failed validation: discarded
   kPersistRestoredCells,  ///< owned cells restored from checkpoint + WAL
-  kPersistCatchupRequest, ///< writestamp-bounded catch-up request sent
-  kPersistCatchupReply,   ///< catch-up request served (fresher or not)
-  kPersistCatchupFresher, ///< catch-up reply carried a strictly fresher cell
 
   // --- sharded copyset maintenance (docs/SHARDING.md). All zero unless the
   // sharding features are enabled; kMsgInvalBatch is a message counter
   // (standalone carrier frames are real sends), the rest are local
-  // bookkeeping or recovery-class ---
+  // bookkeeping ---
   kMsgInvalBatch,          ///< standalone INV_BATCH carrier frame sent
   kShardSubscribe,         ///< owner added a node to a page's copyset
   kShardUnsubscribe,       ///< owner dropped a node from a page's copyset
   kShardInvalQueued,       ///< one invalidation notice queued for a subscriber
   kShardInvalPiggybacked,  ///< one queued notice rode an existing frame
   kShardInvalApplied,      ///< one piggybacked notice dropped a cached page
-  kShardInvalAcked,        ///< one aggregated invalidation ack received
-  kShardElectionScoped,    ///< catch-up election polled copyset ∪ durable only
-  kShardElectionFull,      ///< catch-up election fell back to all live peers
 
   kCounterCount,
 };
@@ -139,6 +134,7 @@ inline constexpr std::size_t kNumLatencyMetrics =
     case Counter::kFoFailover:
     case Counter::kFoRecoverRequest:
     case Counter::kFoRecoverReply:
+    case Counter::kFoRecoverCopy:
     case Counter::kFoSyncRequest:
     case Counter::kFoSyncReply:
     case Counter::kFoRequestTimeout:
@@ -149,11 +145,6 @@ inline constexpr std::size_t kNumLatencyMetrics =
     case Counter::kPersistCheckpoint:
     case Counter::kPersistCkptRejected:
     case Counter::kPersistRestoredCells:
-    case Counter::kPersistCatchupRequest:
-    case Counter::kPersistCatchupReply:
-    case Counter::kPersistCatchupFresher:
-    case Counter::kShardElectionScoped:
-    case Counter::kShardElectionFull:
       return true;
     default:
       return false;

@@ -435,7 +435,7 @@ void CausalNode::on_message(const Message& m) {
   // Any delivery is proof of life — the failure detector piggybacks on
   // protocol traffic, so busy systems never need dedicated heartbeats.
   if (failover_ != nullptr) failover_->record_alive(m.from);
-  // The v4 sharding trailer applies BEFORE handler dispatch: an unsubscribe
+  // The sharding trailer applies BEFORE handler dispatch: an unsubscribe
   // riding a READ must leave the copyset before serve_read re-subscribes
   // the sender, and an invalidation notice riding a reply must drop the
   // stale copy before the reply's own install.
@@ -463,15 +463,6 @@ void CausalNode::on_message(const Message& m) {
       serve_recover(m);
       return;
     case MsgType::kRecoverReply:
-      on_recover_reply(m);
-      return;
-    case MsgType::kCatchupRequest:
-      serve_catchup(m);
-      return;
-    case MsgType::kCatchupReply:
-      // Same election bookkeeping as a RECOVER_REPLY: an accepted reply is
-      // a fresher candidate, a rejected one just checks the peer off.
-      if (m.accepted) stats_.bump(Counter::kPersistCatchupFresher);
       on_recover_reply(m);
       return;
     default:
@@ -988,48 +979,26 @@ void CausalNode::serve_recover(const Message& m) {
   Message rep;
   {
     std::unique_lock lock(mu_);
+    rep.accepted = false;
+    rep.stamp = VectorClock(n_);
     // Answer from the monotone observation log only: cache_ entries can be
-    // invalidated (and so roll backwards); the log can't.
-    if (auto it = recovery_log_.find(m.addr); it != recovery_log_.end()) {
+    // invalidated (and so roll backwards); the log can't. A stamped request
+    // carries the elector's seed: a copy that seed already beats would
+    // lose the election anyway, so the reply stays payload-free. The same
+    // deterministic fresher_stamp order decides both, so "peer sends" and
+    // "elector would elect" agree exactly.
+    if (auto it = recovery_log_.find(m.addr);
+        it != recovery_log_.end() &&
+        (m.stamp.size() == 0 || fresher_stamp(it->second.stamp, m.stamp))) {
       rep.accepted = true;
       rep.value = it->second.value;
       rep.stamp = it->second.stamp;
       rep.tag = it->second.tag;
-    } else {
-      rep.accepted = false;
-      rep.stamp = VectorClock(n_);
+      stats_.bump(Counter::kFoRecoverCopy);
     }
     stats_.bump(Counter::kFoRecoverReply);
   }
   rep.type = MsgType::kRecoverReply;
-  rep.from = id_;
-  rep.to = m.from;
-  rep.request_id = m.request_id;
-  rep.addr = m.addr;
-  send_msg(std::move(rep));
-}
-
-void CausalNode::serve_catchup(const Message& m) {
-  Message rep;
-  {
-    std::unique_lock lock(mu_);
-    rep.accepted = false;
-    rep.stamp = VectorClock(n_);
-    // serve_recover's source (the monotone observation log), filtered by
-    // the requester's durable bound: a copy the bound already covers would
-    // lose its election anyway, so the reply stays payload-free. The same
-    // deterministic fresher_stamp order decides both, so "peer sends" and
-    // "requester would elect" agree exactly.
-    if (auto it = recovery_log_.find(m.addr);
-        it != recovery_log_.end() && fresher_stamp(it->second.stamp, m.stamp)) {
-      rep.accepted = true;
-      rep.value = it->second.value;
-      rep.stamp = it->second.stamp;
-      rep.tag = it->second.tag;
-    }
-    stats_.bump(Counter::kPersistCatchupReply);
-  }
-  rep.type = MsgType::kCatchupReply;
   rep.from = id_;
   rep.to = m.from;
   rep.request_id = m.request_id;
@@ -1062,74 +1031,39 @@ void CausalNode::begin_or_join_recovery(std::uint64_t pg, const Message& m,
   // harmless (WRITEs are idempotent at the owner, and a reply to an
   // abandoned rid is dropped by the tolerant pending lookup).
   if (rec.queued.insert({m.from, m.request_id}).second) {
-    // Strip the v4 piggyback trailer from the deferred copy: it was applied
+    // Strip the piggyback trailer from the deferred copy: it was applied
     // at first arrival, and the post-election replay goes back through
-    // on_message (acks would double-count, invals would re-drop).
+    // on_message (unsubs and invals would apply twice).
     Message dm = m;
     dm.unsub_pages.clear();
     dm.inval_pages.clear();
-    dm.inval_acked = 0;
     rec.deferred.push_back(std::move(dm));
   }
   if (fresh) {
-    // Seed the election with our own freshest observation, then poll every
-    // live peer for theirs.
+    // Seed the election with our own freshest observation (possibly
+    // restored from disk), then poll every live peer for theirs. A seeded
+    // poll carries the seed's stamp, and peers send a copy only when theirs
+    // would beat it, so a page whose seed is already freshest costs
+    // payload-free round trips instead of one full copy per peer.
     if (auto lg = recovery_log_.find(page_base(pg));
         lg != recovery_log_.end()) {
       rec.best = lg->second;
       rec.has_candidate = true;
-    }
-    // With durable storage and a seed, the election becomes a writestamp-
-    // bounded catch-up: peers send a full copy only when theirs would beat
-    // the seed, so a restored page costs payload-free round trips instead
-    // of one full copy per peer. (Without persist the plain RECOVER poll is
-    // kept even when a seed exists — identical outcome, and the recovery
-    // counter accounting of existing deployments stays untouched.)
-    const bool bounded = persist_ != nullptr && rec.has_candidate;
-    // Copyset-scoped catch-up (opt-in, docs/SHARDING.md): with a durable
-    // seed and the disk intact, poll only live durable peers plus this
-    // node's known subscribers of the page instead of everyone — a copy
-    // strictly fresher than the durable bound was certified by a durable
-    // owner or handed to a subscriber under the documented no-media-loss
-    // assumption. An empty scope (or a lost disk) falls back to the full
-    // poll, so the fallback is always at least as thorough as before.
-    bool scoped = false;
-    if (bounded && cfg_.scoped_catchup && !lost_disk_epoch_) {
-      for (const NodeId p : failover_->live_peers(id_)) {
-        if (failover_->is_durable(p)) rec.expected.insert(p);
-      }
-      if (auto sub = subscribers_.find(pg); sub != subscribers_.end()) {
-        for (const NodeId s : sub->second) {
-          if (s != id_ && !failover_->is_down(s)) rec.expected.insert(s);
-        }
-      }
-      scoped = !rec.expected.empty();
-    }
-    if (scoped) {
-      stats_.bump(Counter::kShardElectionScoped);
-    } else {
-      for (NodeId p : failover_->live_peers(id_)) rec.expected.insert(p);
-      if (copysets_on()) stats_.bump(Counter::kShardElectionFull);
-    }
-    if (bounded) {
       if (obs::Tracer* t = stats_.tracer()) {
         t->record(obs::TraceEventKind::kCatchup, 0, kNoNode, page_base(pg),
                   &rec.best.stamp);
       }
     }
+    for (NodeId p : failover_->live_peers(id_)) rec.expected.insert(p);
     for (const NodeId p : rec.expected) {
       Message req;
-      req.type = bounded ? MsgType::kCatchupRequest : MsgType::kRecover;
+      req.type = MsgType::kRecover;
       req.from = id_;
       req.to = p;
       req.request_id = 0;  // routed by type, not by pending slot
       req.addr = page_base(pg);
-      if (bounded) {
-        req.stamp = rec.best.stamp;
-        stats_.bump(Counter::kPersistCatchupRequest);
-      } else {
-        stats_.bump(Counter::kFoRecoverRequest);
-      }
+      if (rec.has_candidate) req.stamp = rec.best.stamp;
+      stats_.bump(Counter::kFoRecoverRequest);
       send_msg(std::move(req));
     }
   } else {
@@ -1220,7 +1154,6 @@ bool CausalNode::rejoin() {
       std::scoped_lock pl(piggy_mu_);
       pending_unsubs_.clear();
       pending_invals_.clear();
-      pending_inval_acks_.clear();
     }
     for (auto oit = owned_.begin(); oit != owned_.end();) {
       if (failover_->owner(oit->first) != id_) {
@@ -1479,58 +1412,40 @@ void CausalNode::attach_piggyback(Message& m) {
       pending_invals_.erase(it);
       stats_.bump(Counter::kShardInvalPiggybacked, m.inval_pages.size());
     }
-    if (auto it = pending_inval_acks_.find(m.to);
-        it != pending_inval_acks_.end()) {
-      m.inval_acked = it->second;
-      pending_inval_acks_.erase(it);
-    }
   }
 }
 
 void CausalNode::apply_piggyback(const Message& m) {
   if (!copysets_on()) return;
-  if (m.unsub_pages.empty() && m.inval_pages.empty() && m.inval_acked == 0) {
-    return;
-  }
+  if (m.unsub_pages.empty() && m.inval_pages.empty()) return;
   obs::Tracer* const tr = stats_.tracer();
-  std::uint32_t processed = 0;
-  {
-    std::unique_lock lock(mu_);
-    if (m.inval_acked != 0) {
-      stats_.bump(Counter::kShardInvalAcked, m.inval_acked);
-    }
-    for (const Addr a : m.unsub_pages) {
-      auto sit = subscribers_.find(page_of(a));
-      if (sit != subscribers_.end() && sit->second.erase(m.from) != 0) {
-        stats_.bump(Counter::kShardUnsubscribe);
-        if (tr != nullptr) {
-          tr->record(obs::TraceEventKind::kShardUnsub, 0, m.from, a);
-        }
-        if (sit->second.empty()) subscribers_.erase(sit);
+  std::unique_lock lock(mu_);
+  for (const Addr a : m.unsub_pages) {
+    auto sit = subscribers_.find(page_of(a));
+    if (sit != subscribers_.end() && sit->second.erase(m.from) != 0) {
+      stats_.bump(Counter::kShardUnsubscribe);
+      if (tr != nullptr) {
+        tr->record(obs::TraceEventKind::kShardUnsub, 0, m.from, a);
       }
-    }
-    for (const Addr a : m.inval_pages) {
-      const std::uint64_t pg = page_of(a);
-      ++processed;
-      // Read-only pages are exempt from invalidation by contract, and a
-      // notice for an uncached page is vacuous (already dropped, or never
-      // fetched by this incarnation). The drop is advisory-safe even
-      // against an own write still in flight: the own-write requirement in
-      // complete_pending forces any subsequent read to wait for a reply
-      // that covers it.
-      if (read_only_pages_.contains(pg)) continue;
-      if (auto it = cache_.find(pg); it != cache_.end()) {
-        stats_.bump(Counter::kShardInvalApplied);
-        if (tr != nullptr) {
-          tr->record(obs::TraceEventKind::kShardInval, 0, m.from, a, &vt_);
-        }
-        erase_page(it);
-      }
+      if (sit->second.empty()) subscribers_.erase(sit);
     }
   }
-  if (processed != 0) {
-    std::scoped_lock pl(piggy_mu_);
-    pending_inval_acks_[m.from] += processed;
+  for (const Addr a : m.inval_pages) {
+    const std::uint64_t pg = page_of(a);
+    // Read-only pages are exempt from invalidation by contract, and a
+    // notice for an uncached page is vacuous (already dropped, or never
+    // fetched by this incarnation). The drop is advisory-safe even
+    // against an own write still in flight: the own-write requirement in
+    // complete_pending forces any subsequent read to wait for a reply
+    // that covers it.
+    if (read_only_pages_.contains(pg)) continue;
+    if (auto it = cache_.find(pg); it != cache_.end()) {
+      stats_.bump(Counter::kShardInvalApplied);
+      if (tr != nullptr) {
+        tr->record(obs::TraceEventKind::kShardInval, 0, m.from, a, &vt_);
+      }
+      erase_page(it);
+    }
   }
 }
 

@@ -21,8 +21,6 @@ const char* msg_type_name(MsgType t) noexcept {
     case MsgType::kSyncReply: return "SYNC_REPLY";
     case MsgType::kRecover: return "RECOVER";
     case MsgType::kRecoverReply: return "RECOVER_REPLY";
-    case MsgType::kCatchupRequest: return "CATCHUP";
-    case MsgType::kCatchupReply: return "CATCHUP_REPLY";
     case MsgType::kInvalBatch: return "INV_BATCH";
   }
   return "?";
@@ -66,14 +64,12 @@ std::vector<std::byte> encode_message(const Message& m, StampEncoder&& stamp) {
   for (const auto& c : m.cells) c.encode(w);
   w.put(m.rel_seq);
   w.put(m.rel_ack);
-  w.put(m.trace_id);  // v3 trailer
-  // v4 sharding trailer: piggybacked unsubscribe / invalidation page lists
-  // and the aggregated invalidation ack for the reverse channel.
+  w.put(m.trace_id);
+  // Sharding trailer: piggybacked unsubscribe / invalidation page lists.
   w.put_count(m.unsub_pages.size());
   for (const Addr a : m.unsub_pages) w.put(a);
   w.put_count(m.inval_pages.size());
   for (const Addr a : m.inval_pages) w.put(a);
-  w.put(m.inval_acked);
   return std::move(w).take();
 }
 
@@ -98,9 +94,12 @@ void Message::decode_into(std::span<const std::byte> bytes, Message& m,
                           ClockCodecState* rx) {
   ByteReader r(bytes);
   const auto version = r.get<std::uint8_t>();
-  CM_EXPECTS_MSG(version >= kMinWireVersion && version <= kWireVersion,
-                 "unsupported wire version");
-  m.type = r.get<MsgType>();
+  CM_EXPECTS_MSG(version == kWireVersion, "unsupported wire version");
+  const auto type = r.get<std::uint8_t>();
+  CM_EXPECTS_MSG(type >= static_cast<std::uint8_t>(MsgType::kRead) &&
+                     type <= static_cast<std::uint8_t>(MsgType::kInvalBatch),
+                 "unsupported message type");
+  m.type = static_cast<MsgType>(type);
   m.from = r.get<NodeId>();
   m.to = r.get<NodeId>();
   m.request_id = r.get<std::uint64_t>();
@@ -123,25 +122,19 @@ void Message::decode_into(std::span<const std::byte> bytes, Message& m,
   for (std::uint32_t i = 0; i < n; ++i) m.cells.push_back(CellUpdate::decode(r));
   m.rel_seq = r.get<std::uint64_t>();
   m.rel_ack = r.get<std::uint64_t>();
-  // v2 frames end here; the v3 trace_id trailer reads as 0 for them.
-  m.trace_id = version >= 3 ? r.get<std::uint64_t>() : 0;
-  // Pre-v4 frames carry no sharding trailer; it reads as empty. The counts
-  // are checked against the remaining payload like the cell count above.
-  m.unsub_pages.clear();
-  m.inval_pages.clear();
-  m.inval_acked = 0;
-  if (version >= 4) {
-    const auto read_pages = [&r](std::vector<Addr>& out) {
-      const auto count = r.get<std::uint32_t>();
-      CM_EXPECTS_MSG(r.remaining() / sizeof(Addr) >= count,
-                     "codec under-run (page count)");
-      out.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) out.push_back(r.get<Addr>());
-    };
-    read_pages(m.unsub_pages);
-    read_pages(m.inval_pages);
-    m.inval_acked = r.get<std::uint32_t>();
-  }
+  m.trace_id = r.get<std::uint64_t>();
+  // The page counts are checked against the remaining payload like the
+  // cell count above.
+  const auto read_pages = [&r](std::vector<Addr>& out) {
+    const auto count = r.get<std::uint32_t>();
+    CM_EXPECTS_MSG(r.remaining() / sizeof(Addr) >= count,
+                   "codec under-run (page count)");
+    out.clear();
+    out.reserve(count);
+    for (std::uint32_t i = 0; i < count; ++i) out.push_back(r.get<Addr>());
+  };
+  read_pages(m.unsub_pages);
+  read_pages(m.inval_pages);
   CM_ENSURES(r.exhausted());
 }
 
@@ -157,7 +150,6 @@ std::string Message::to_string() const {
   if (trace_id != 0) oss << " tid=" << trace_id;
   if (!unsub_pages.empty()) oss << " unsubs=" << unsub_pages.size();
   if (!inval_pages.empty()) oss << " invals=" << inval_pages.size();
-  if (inval_acked != 0) oss << " iack=" << inval_acked;
   return oss.str();
 }
 

@@ -40,6 +40,7 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kFoFailover: return "fo.failover";
     case Counter::kFoRecoverRequest: return "fo.recover_request";
     case Counter::kFoRecoverReply: return "fo.recover_reply";
+    case Counter::kFoRecoverCopy: return "fo.recover_copy";
     case Counter::kFoSyncRequest: return "fo.sync_request";
     case Counter::kFoSyncReply: return "fo.sync_reply";
     case Counter::kFoRequestTimeout: return "fo.request_timeout";
@@ -50,18 +51,12 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kPersistCheckpoint: return "persist.checkpoint";
     case Counter::kPersistCkptRejected: return "persist.ckpt_rejected";
     case Counter::kPersistRestoredCells: return "persist.restored_cells";
-    case Counter::kPersistCatchupRequest: return "persist.catchup_request";
-    case Counter::kPersistCatchupReply: return "persist.catchup_reply";
-    case Counter::kPersistCatchupFresher: return "persist.catchup_fresher";
     case Counter::kMsgInvalBatch: return "msg.inval_batch";
     case Counter::kShardSubscribe: return "copyset.subscribe";
     case Counter::kShardUnsubscribe: return "copyset.unsubscribe";
     case Counter::kShardInvalQueued: return "shard.inval_queued";
     case Counter::kShardInvalPiggybacked: return "shard.inval_piggybacked";
     case Counter::kShardInvalApplied: return "shard.inval_applied";
-    case Counter::kShardInvalAcked: return "shard.inval_acked";
-    case Counter::kShardElectionScoped: return "copyset.election_scoped";
-    case Counter::kShardElectionFull: return "copyset.election_full";
     case Counter::kCounterCount: break;
   }
   return "unknown";

@@ -302,6 +302,44 @@ TEST(OwnerFailover, RandomWorkloadStaysCausalAcrossOwnerCrash) {
   EXPECT_FALSE(violation.has_value()) << violation->reason;
 }
 
+TEST(OwnerFailover, SeededElectionWithoutPersistenceSendsNoCopy) {
+  // No persistence anywhere: the successor's own journal seeds the
+  // election, so the RECOVER poll carries the seed's stamp and a peer whose
+  // copy does not beat it answers payload-free.
+  Recorder recorder(3);
+  DsmSystem<CausalNode> sys(3, deadline_config(), failover_options(), nullptr,
+                            &recorder);
+  // Node 2 owns address 2 and certifies node 1's write; node 0 (node 2's
+  // ring successor) then reads it. Both journals now hold the same copy:
+  // the write reply and the read reply carry the stamp the owner stored.
+  ASSERT_EQ(sys.node(1).try_write(2, 11), OpStatus::kOk);
+  const ReadResult seen = sys.node(0).try_read(2);
+  ASSERT_TRUE(seen.ok());
+  ASSERT_EQ(seen.value, 11);
+
+  sys.faulty_transport()->crash_node(2);
+  // Drop node 1's cached copy so its read misses, times out at the dead
+  // owner, and lands at node 0 — which elects before serving it.
+  ASSERT_TRUE(sys.node(1).discard(2));
+  ReadResult after;
+  ASSERT_TRUE(eventually([&] {
+    after = sys.node(1).try_read(2);
+    return after.ok();
+  }));
+  EXPECT_EQ(after.value, 11);
+  EXPECT_EQ(sys.failover_directory()->owner(2), 0u);
+
+  const StatsSnapshot stats = sys.stats().total();
+  EXPECT_GE(stats[Counter::kFoRecoverRequest], 1u);
+  EXPECT_GE(stats[Counter::kFoRecoverReply], 1u);
+  // Node 1's copy only ties the seed: no reply carried a payload.
+  EXPECT_EQ(stats[Counter::kFoRecoverCopy], 0u);
+
+  sys.shutdown();
+  const auto violation = CausalChecker(recorder.history()).check();
+  EXPECT_FALSE(violation.has_value()) << violation->reason;
+}
+
 TEST(OwnerFailover, HeartbeatDetectsIdleCrash) {
   // No application traffic at all: only the active prober can notice the
   // crash. The survivor must then serve the dead node's locations.
@@ -360,9 +398,9 @@ TEST(OwnerFailover, FaultFreeRunKeepsEveryRecoveryCounterZero) {
   for (const Counter c :
        {Counter::kNetHeartbeat, Counter::kNetPeerUnreachable,
         Counter::kFoSuspect, Counter::kFoFailover, Counter::kFoRecoverRequest,
-        Counter::kFoRecoverReply, Counter::kFoSyncRequest,
-        Counter::kFoSyncReply, Counter::kFoRequestTimeout,
-        Counter::kFoUnreachable}) {
+        Counter::kFoRecoverReply, Counter::kFoRecoverCopy,
+        Counter::kFoSyncRequest, Counter::kFoSyncReply,
+        Counter::kFoRequestTimeout, Counter::kFoUnreachable}) {
     EXPECT_EQ(stats[c], 0u) << counter_name(c);
   }
 }

@@ -51,18 +51,38 @@ TEST(CodecAdversarialDeathTest, TruncatedFramesAbortInsteadOfMisparsing) {
 }
 
 TEST(CodecAdversarialDeathTest, WireVersionMismatchIsRejected) {
-  std::vector<std::byte> wire = sample_message().encode();
-  wire[0] = static_cast<std::byte>(kWireVersion + 1);
-  EXPECT_DEATH((void)Message::decode(wire), "unsupported wire version");
+  // Every node runs the same codec: any version byte but the current one,
+  // older layouts included, is rejected rather than misparsed.
+  const std::vector<std::byte> good = sample_message().encode();
+  for (unsigned v = 0; v <= 0xff; ++v) {
+    if (v == kWireVersion) continue;
+    std::vector<std::byte> wire = good;
+    wire[0] = static_cast<std::byte>(v);
+    EXPECT_DEATH((void)Message::decode(wire), "unsupported wire version")
+        << "version " << v;
+  }
+}
+
+TEST(CodecAdversarialDeathTest, MessageTypeOutsideTheEnumIsRejected) {
+  // The type byte follows the version byte. A frame naming no MsgType must
+  // die in the codec, not decode and reach a node's dispatch.
+  const std::vector<std::byte> good = sample_message().encode();
+  for (const unsigned t :
+       {0u, static_cast<unsigned>(MsgType::kInvalBatch) + 1, 200u, 0xffu}) {
+    std::vector<std::byte> wire = good;
+    wire[1] = static_cast<std::byte>(t);
+    EXPECT_DEATH((void)Message::decode(wire), "unsupported message type")
+        << "type " << t;
+  }
 }
 
 TEST(CodecAdversarialDeathTest, OverflowingCellCountIsCaughtBeforeAlloc) {
   std::vector<std::byte> wire = sample_message().encode();
-  // The cell count sits 68 bytes from the end: u32 count, one 28-byte cell,
-  // rel_seq + rel_ack (16 bytes), the v3 trailing trace_id (8 bytes), then
-  // the v4 sharding trailer (two empty u32-counted page lists + u32 ack =
-  // 12 bytes). Forge it to claim 2^31 cells.
-  const std::size_t count_at = wire.size() - 12 - 8 - 16 - 28 - 4;
+  // The cell count sits 64 bytes from the end: u32 count, one 28-byte cell,
+  // rel_seq + rel_ack (16 bytes), trace_id (8 bytes), then the sharding
+  // trailer (two empty u32-counted page lists = 8 bytes). Forge it to claim
+  // 2^31 cells.
+  const std::size_t count_at = wire.size() - 8 - 8 - 16 - 28 - 4;
   wire[count_at + 3] = static_cast<std::byte>(0x80);
   EXPECT_DEATH((void)Message::decode(wire), "codec under-run \\(cell count\\)");
 }

@@ -1,10 +1,10 @@
 // System-level durable recovery: a restarted node restores its owned cells
 // from checkpoint + WAL (zero elections, zero full-page fetches for pages it
-// covers locally), a node whose durable copy seeds the election runs the
-// writestamp-bounded catch-up instead of the full RECOVER poll, a node that
-// lost its disk serves nothing before winning an election (no initial-value
-// rollback), and failover prefers durable successors. Histories stay causal
-// through all of it.
+// covers locally), a node whose durable copy seeds the election receives no
+// copy a peer holds that the seed already beats, a node that lost its disk
+// serves nothing before winning an election (no initial-value rollback),
+// and failover prefers durable successors. Histories stay causal through
+// all of it.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -92,7 +92,6 @@ TEST(DurableRecovery, RestartRestoresOwnedCellsWithZeroElections) {
   // The acceptance criterion: locally-covered pages cost zero elections and
   // zero full-page fetches on restart.
   EXPECT_EQ(stats[Counter::kFoRecoverRequest], 0u);
-  EXPECT_EQ(stats[Counter::kPersistCatchupRequest], 0u);
   EXPECT_EQ(stats[Counter::kPersistCkptRejected], 0u);
   EXPECT_EQ(stats[Counter::kPersistWalTruncated], 0u);
 
@@ -135,10 +134,10 @@ TEST(DurableRecovery, BoundedCatchupElectsDurableSeedAcrossTwoCrashes) {
   ASSERT_TRUE(sys.node(1).discard(2));
 
   // Node 1's read times out, the page migrates to node 1, and its election
-  // runs as a writestamp-bounded catch-up: node 1's own observation of 11
-  // (from its write round trip) seeds the bound, the only live peer (node 2)
-  // holds nothing fresher, and the durable seed wins. The write survives
-  // both crashes without any full-copy transfer.
+  // is seeded: node 1's own observation of 11 (from its write round trip)
+  // bounds the poll, the only live peer (node 2) holds nothing fresher, and
+  // the durable seed wins. The write survives both crashes without any
+  // full-copy transfer.
   ReadResult final_read;
   ASSERT_TRUE(eventually([&] {
     final_read = sys.node(1).try_read(2);
@@ -147,11 +146,11 @@ TEST(DurableRecovery, BoundedCatchupElectsDurableSeedAcrossTwoCrashes) {
   EXPECT_EQ(sys.failover_directory()->owner(2), 1u);
 
   const StatsSnapshot stats = sys.stats().total();
-  EXPECT_GE(stats[Counter::kPersistCatchupRequest], 1u);
-  EXPECT_GE(stats[Counter::kPersistCatchupReply], 1u);
-  // No peer ever held a copy beating the durable bound: every catch-up
-  // reply was payload-free.
-  EXPECT_EQ(stats[Counter::kPersistCatchupFresher], 0u);
+  EXPECT_GE(stats[Counter::kFoRecoverRequest], 1u);
+  EXPECT_GE(stats[Counter::kFoRecoverReply], 1u);
+  // No peer ever held a copy beating the durable bound: every RECOVER reply
+  // was payload-free.
+  EXPECT_EQ(stats[Counter::kFoRecoverCopy], 0u);
 
   sys.shutdown();
   const auto violation = CausalChecker(recorder.history()).check();
@@ -190,8 +189,10 @@ TEST(DurableRecovery, LostDiskEpochReElectsInsteadOfRollingBack) {
 
   const StatsSnapshot stats = sys.stats().total();
   EXPECT_EQ(stats[Counter::kPersistRestoredCells], 0u);
-  // Nothing durable to bound the election with: the legacy RECOVER poll ran.
+  // Nothing durable to seed the election with: the unbounded RECOVER poll
+  // ran, and node 1's journal answered it with a copy.
   EXPECT_GE(stats[Counter::kFoRecoverRequest], 1u);
+  EXPECT_GE(stats[Counter::kFoRecoverCopy], 1u);
 
   sys.shutdown();
   const auto violation = CausalChecker(recorder.history()).check();

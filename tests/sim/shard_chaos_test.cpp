@@ -7,14 +7,17 @@
 //                              its ring successor takes over and clients
 //                              re-route.
 //   subscriber_crash_pre_ack — a subscriber joins a copyset, then dies
-//                              before acknowledging the notices queued for
-//                              it; the owner's pending queue must not wedge
+//                              while notices are still queued for it (they
+//                              are advisory and never acknowledged); the
+//                              owner's pending queue must not wedge
 //                              progress, and the restarted incarnation
 //                              resubscribes from a clean slate.
 //   partition_across_shard   — a client is partitioned from its page's
 //                              owner shard; timeouts migrate the page along
-//                              the ring, and the healed partition must
-//                              leave every history causally clean.
+//                              the ring (the successor's RECOVER election
+//                              runs inside the schedule), and the healed
+//                              partition must leave every history causally
+//                              clean.
 //
 // The schedules under tests/sim/schedules/ were produced by this file
 // itself: run with CAUSALMEM_REGEN_SCHEDULES=1 to re-record them (after an
@@ -113,7 +116,7 @@ CausalScenarioConfig subscriber_crash_pre_ack() {
   const NodeId writer = other_than(cfg, {owner, sub});
   // The subscriber fetches the page (joining the copyset), then dies
   // without ever sending another frame — every notice queued for it is
-  // stranded un-acked. The writer keeps writing through the crash window;
+  // stranded. The writer keeps writing through the crash window;
   // the batch cap forces INV_BATCH sends into the corpse. After restart the
   // subscriber reads again: a fresh fetch, a fresh subscription.
   cfg.scripts[sub] = {ScriptOp::read(hot), ScriptOp::sleep_until(500'000),
