@@ -5,7 +5,9 @@
 // recording is lock-free and wait-free for the common case; a writer that
 // finds its slot mid-overwrite (another writer lapped the ring onto it)
 // drops the event and bumps `dropped` instead of waiting. Capacity bounds
-// memory; wraparound keeps the newest events (drop-oldest).
+// memory; wraparound keeps the newest events (drop-oldest). The ring is
+// allocated a segment at a time, on the first record that lands in each
+// segment, so memory follows the events recorded up to the capacity.
 //
 // Reading the retained window (events()) is only consistent when writers are
 // quiescent — drain after joining application threads / shutting the
@@ -127,14 +129,23 @@ struct TraceEvent {
 
 class Tracer {
  public:
+  /// Slots allocated together on first use (fewer when the ring is smaller).
+  static constexpr std::size_t kSegmentSlots = 1024;
+
   /// `capacity` is rounded up to a power of two (minimum 2).
   Tracer(NodeId node, std::size_t capacity)
       : node_(node),
-        slots_(std::bit_ceil(std::max<std::size_t>(capacity, 2))),
-        mask_(slots_.size() - 1) {}
+        capacity_(std::bit_ceil(std::max<std::size_t>(capacity, 2))),
+        mask_(capacity_ - 1),
+        segment_slots_(std::min(capacity_, kSegmentSlots)),
+        segments_(capacity_ / segment_slots_) {}
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
+
+  ~Tracer() {
+    for (auto& seg : segments_) delete[] seg.load(std::memory_order_relaxed);
+  }
 
   /// Records one event. `ts_ns` 0 means "now"; pass an explicit start stamp
   /// together with `dur_ns` for completed-span events.
@@ -145,7 +156,7 @@ class Tracer {
               std::uint64_t trace_id = 0) noexcept {
     const std::uint64_t ticket =
         cursor_.fetch_add(1, std::memory_order_relaxed);
-    Slot& s = slots_[ticket & mask_];
+    Slot& s = slot(ticket & mask_);
     std::uint64_t expected = s.state.load(std::memory_order_relaxed);
     if (expected == kBusy ||
         !s.state.compare_exchange_strong(expected, kBusy,
@@ -174,7 +185,7 @@ class Tracer {
   }
 
   [[nodiscard]] NodeId node() const noexcept { return node_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// Total record() calls (kept + overwritten + dropped).
   [[nodiscard]] std::uint64_t attempted() const noexcept {
@@ -190,10 +201,13 @@ class Tracer {
   /// quiescent (drain after threads join / transport shutdown).
   [[nodiscard]] std::vector<TraceEvent> events() const {
     std::vector<TraceEvent> out;
-    out.reserve(slots_.size());
-    for (const Slot& s : slots_) {
-      if (s.state.load(std::memory_order_acquire) == kFull) {
-        out.push_back(s.ev);
+    for (const auto& seg : segments_) {
+      const Slot* slots = seg.load(std::memory_order_acquire);
+      if (slots == nullptr) continue;
+      for (std::size_t i = 0; i < segment_slots_; ++i) {
+        if (slots[i].state.load(std::memory_order_acquire) == kFull) {
+          out.push_back(slots[i].ev);
+        }
       }
     }
     std::sort(out.begin(), out.end(),
@@ -204,7 +218,13 @@ class Tracer {
   }
 
   void reset() noexcept {
-    for (Slot& s : slots_) s.state.store(kFree, std::memory_order_relaxed);
+    for (auto& seg : segments_) {
+      Slot* slots = seg.load(std::memory_order_acquire);
+      if (slots == nullptr) continue;
+      for (std::size_t i = 0; i < segment_slots_; ++i) {
+        slots[i].state.store(kFree, std::memory_order_relaxed);
+      }
+    }
     cursor_.store(0, std::memory_order_relaxed);
     dropped_.store(0, std::memory_order_relaxed);
   }
@@ -219,9 +239,33 @@ class Tracer {
     TraceEvent ev;
   };
 
+  /// Ring slot `i`, allocating its segment if no writer has yet.
+  Slot& slot(std::uint64_t i) {
+    std::atomic<Slot*>& seg = segments_[i / segment_slots_];
+    Slot* slots = seg.load(std::memory_order_acquire);
+    if (slots == nullptr) slots = install(seg);
+    return slots[i % segment_slots_];
+  }
+
+  /// Racing first writers each allocate; the CAS winner's copy is
+  /// installed and the losers free theirs.
+  Slot* install(std::atomic<Slot*>& seg) {
+    Slot* fresh = new Slot[segment_slots_];
+    Slot* expected = nullptr;
+    if (seg.compare_exchange_strong(expected, fresh,
+                                    std::memory_order_acq_rel,
+                                    std::memory_order_acquire)) {
+      return fresh;
+    }
+    delete[] fresh;
+    return expected;
+  }
+
   const NodeId node_;
-  std::vector<Slot> slots_;
+  const std::size_t capacity_;
   const std::uint64_t mask_;
+  const std::size_t segment_slots_;
+  std::vector<std::atomic<Slot*>> segments_;  ///< null until first use
   std::atomic<std::uint64_t> cursor_{0};
   std::atomic<std::uint64_t> dropped_{0};
 };

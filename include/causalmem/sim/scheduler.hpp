@@ -22,11 +22,10 @@
 // sim/explorer.hpp for the search strategies built on top.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <semaphore>
 #include <string>
 #include <thread>
 #include <vector>
@@ -198,7 +197,7 @@ class SimScheduler final : public coop::Parker {
     };
     State state{State::kIdle};
     bool started{false};
-    bool resume{false};  ///< scheduler -> task handshake flag
+    std::binary_semaphore wake{0};  ///< released to resume this task
     std::function<bool()> ready;
     std::uint64_t deadline_ns{0};
     const char* what{""};
@@ -232,12 +231,11 @@ class SimScheduler final : public coop::Parker {
   std::vector<std::unique_ptr<Task>> tasks_;
   std::vector<Timer> timers_;
 
-  // Scheduler <-> task handshake. One mutex/cv pair for all tasks; the
-  // per-task `resume` flag and the global `task_active_` flag carry the
-  // baton. Predicated waits make the notify_all broadcast race-free.
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool task_active_{false};
+  // Scheduler <-> task baton. Resuming a task releases its `wake` and
+  // acquires `sched_wake_`; parking or finishing does the reverse. Each
+  // hand-off wakes exactly one thread, and the semaphore's release/acquire
+  // orders every state change made before it.
+  std::binary_semaphore sched_wake_{0};
   bool aborting_{false};
   bool ran_{false};
 };

@@ -1,12 +1,14 @@
 // SimTransport: the Transport implementation for deterministic simulation.
 //
 // No delivery threads. send() only appends to a per-channel FIFO queue; the
-// SimScheduler asks for the set of non-empty channels (deliverable_channels)
+// SimScheduler asks for the set of non-empty channels (append_deliverable)
 // and pops exactly one head per chosen deliver event (deliver_one), running
 // the destination handler inline on the scheduler thread. Per-channel FIFO
 // is structural — a deque per directed channel — so the substrate the paper
 // assumes ("reliable, ordered message passing") holds on every schedule
-// while INTER-channel order is fully under the explorer's control.
+// while INTER-channel order is fully under the explorer's control. Only
+// channels with queued messages are stored, in an ordered map keyed by
+// from*n+to, so a step costs what is in flight, not n².
 //
 // Crash / partition semantics mirror FaultyTransport so the PR-3 failover
 // path behaves identically under simulation: sends from or to a crashed
@@ -23,13 +25,14 @@
 // SimScheduler is inline.
 //
 // Thread-safety: none needed. Under the cooperative scheduler exactly one
-// logical thread runs at a time, and the scheduler's handshake mutex
+// logical thread runs at a time, and the scheduler's semaphore hand-off
 // orders task/scheduler transitions, so plain containers are both safe and
 // deterministic here.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -50,7 +53,6 @@ class SimTransport final : public Transport {
   SimTransport(std::size_t n, SimScheduler* sched, bool exercise_codec = false)
       : exercise_codec_(exercise_codec),
         endpoints_(n),
-        channels_(n * n),
         codec_(exercise_codec ? n * n : 0),
         blocked_(n * n, 0),
         crashed_(n, 0),
@@ -108,7 +110,7 @@ class SimTransport final : public Transport {
     stopped_ = true;
     // Drop undelivered messages silently: receivers are quiescing, same as
     // InMemTransport::shutdown.
-    for (auto& q : channels_) q.clear();
+    channels_.clear();
     pending_ = 0;
   }
 
@@ -134,16 +136,16 @@ class SimTransport final : public Transport {
     crashed_[id] = 1;
     ++epochs_[id];
     const std::size_t n = endpoints_.size();
-    for (std::size_t from = 0; from < n; ++from) {
-      for (std::size_t to = 0; to < n; ++to) {
-        if (from != id && to != id) continue;
-        auto& q = channels_[from * n + to];
-        for (Message& m : q) {
-          drop(m);
-          --pending_;
-        }
-        q.clear();
+    // Key order is (from, to) order, so drops are counted and traced in the
+    // same order on every run.
+    for (auto it = channels_.begin(); it != channels_.end();) {
+      if (it->first / n != id && it->first % n != id) {
+        ++it;
+        continue;
       }
+      for (const Message& m : it->second) drop(m);
+      pending_ -= it->second.size();
+      it = channels_.erase(it);
     }
   }
 
@@ -182,17 +184,13 @@ class SimTransport final : public Transport {
   /// labelled with the head message's type.
   void append_deliverable(std::vector<Choice>* out) const {
     const std::size_t n = endpoints_.size();
-    for (std::size_t from = 0; from < n; ++from) {
-      for (std::size_t to = 0; to < n; ++to) {
-        const auto& q = channels_[from * n + to];
-        if (q.empty()) continue;
-        Choice c;
-        c.kind = ChoiceKind::kDeliver;
-        c.from = static_cast<NodeId>(from);
-        c.to = static_cast<NodeId>(to);
-        c.label = msg_type_name(q.front().type);
-        out->push_back(std::move(c));
-      }
+    for (const auto& [key, q] : channels_) {
+      Choice c;
+      c.kind = ChoiceKind::kDeliver;
+      c.from = static_cast<NodeId>(key / n);
+      c.to = static_cast<NodeId>(key % n);
+      c.label = msg_type_name(q.front().type);
+      out->push_back(std::move(c));
     }
   }
 
@@ -201,10 +199,11 @@ class SimTransport final : public Transport {
   void deliver_one(NodeId from, NodeId to) {
     const std::size_t n = endpoints_.size();
     CM_EXPECTS(from < n && to < n);
-    auto& q = channels_[from * n + to];
-    CM_EXPECTS_MSG(!q.empty(), "deliver_one on empty channel");
-    Message m = std::move(q.front());
-    q.pop_front();
+    const auto it = channels_.find(from * n + to);
+    CM_EXPECTS_MSG(it != channels_.end(), "deliver_one on empty channel");
+    Message m = std::move(it->second.front());
+    it->second.pop_front();
+    if (it->second.empty()) channels_.erase(it);
     --pending_;
     trace_msg(m.to, obs::TraceEventKind::kRecv, m);
     endpoints_[m.to](m);
@@ -227,9 +226,11 @@ class SimTransport final : public Transport {
 
   bool exercise_codec_;
   std::vector<Handler> endpoints_;
-  std::vector<std::deque<Message>> channels_;  // n*n, index from*n+to
-  std::vector<CodecState> codec_;              // n*n when exercising, else 0
-  std::vector<std::uint8_t> blocked_;          // n*n, directed
+  /// Non-empty channels only, keyed by from*n+to: key order is (from, to)
+  /// order, and a channel is erased when its last message leaves.
+  std::map<std::size_t, std::deque<Message>> channels_;
+  std::vector<CodecState> codec_;      // n*n when exercising, else 0
+  std::vector<std::uint8_t> blocked_;  // n*n, directed
   std::vector<std::uint8_t> crashed_;
   std::vector<std::uint64_t> epochs_;  ///< per-endpoint crash/restart count
   std::size_t pending_{0};

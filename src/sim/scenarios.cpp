@@ -17,7 +17,7 @@ namespace {
 
 /// Shared between the chaos task (writer) and the workload tasks (readers).
 /// Plain fields are safe: exactly one logical thread runs at a time and the
-/// scheduler handshake mutex orders every transition.
+/// scheduler's semaphore hand-off orders every transition.
 struct ChaosState {
   std::vector<std::uint8_t> crashed;
   bool finished{false};

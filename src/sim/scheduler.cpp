@@ -67,23 +67,13 @@ void SimScheduler::park(const std::function<bool()>& ready,
                         std::uint64_t deadline_ns, const char* what) {
   CM_ASSERT(on_task_thread());
   Task& t = *static_cast<Task*>(tl_task);
-  std::unique_lock lock(mu_);
   t.state = Task::State::kParked;
   t.ready = ready;
   t.deadline_ns = deadline_ns;
   t.what = what;
-  task_active_ = false;
-  cv_.notify_all();
-  cv_.wait(lock, [&] { return t.resume; });
-  t.resume = false;
-  t.state = Task::State::kRunning;
-  t.ready = nullptr;
-  t.deadline_ns = 0;
-  t.what = "";
-  if (aborting_) {
-    lock.unlock();
-    throw TaskAbort{};
-  }
+  sched_wake_.release();
+  t.wake.acquire();
+  if (aborting_) throw TaskAbort{};
 }
 
 void SimScheduler::task_main(Task& t) {
@@ -92,30 +82,28 @@ void SimScheduler::task_main(Task& t) {
   try {
     t.body();
   } catch (const TaskAbort&) {
-    // Unwound by abort_tasks; fall through to the finished handshake.
+    // Unwound by abort_tasks; fall through to the finished hand-off.
   }
-  std::unique_lock lock(mu_);
   t.state = Task::State::kFinished;
-  task_active_ = false;
-  cv_.notify_all();
+  sched_wake_.release();
 }
 
 void SimScheduler::resume_task(Task& t) {
-  std::unique_lock lock(mu_);
   CM_ASSERT(t.state != Task::State::kRunning &&
             t.state != Task::State::kFinished);
-  task_active_ = true;
   t.state = Task::State::kRunning;
+  t.ready = nullptr;
+  t.deadline_ns = 0;
+  t.what = "";
   if (!t.started) {
     t.started = true;
     // The new thread runs the body immediately; the scheduler blocks below
     // until the task parks or finishes, so one logical thread at a time.
     t.thread = std::thread([this, &t] { task_main(t); });
   } else {
-    t.resume = true;
-    cv_.notify_all();
+    t.wake.release();
   }
-  cv_.wait(lock, [&] { return !task_active_; });
+  sched_wake_.acquire();
 }
 
 bool SimScheduler::task_runnable(const Task& t) const {
@@ -204,7 +192,6 @@ std::string SimScheduler::deadlock_diagnosis() const {
 }
 
 void SimScheduler::abort_tasks() {
-  std::unique_lock lock(mu_);
   aborting_ = true;
   // Resume unfinished tasks one at a time; each throws TaskAbort out of its
   // park() and unwinds to task_main. Sequential, so teardown is as
@@ -213,10 +200,7 @@ void SimScheduler::abort_tasks() {
     Task& t = *tp;
     if (!t.started || t.state == Task::State::kFinished) continue;
     CM_ASSERT(t.state == Task::State::kParked);
-    task_active_ = true;
-    t.resume = true;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return !task_active_; });
+    resume_task(t);
   }
 }
 

@@ -48,20 +48,31 @@ TEST(Tracer, RecordsPayloadVerbatim) {
   EXPECT_TRUE(events[1].vclock.empty());
 }
 
-TEST(Tracer, WraparoundKeepsNewest) {
-  Tracer t(0, 8);
-  for (std::uint64_t i = 0; i < 20; ++i) {
+// A ring of four lazily allocated segments, beside the one-segment rings.
+constexpr std::size_t kFourSegments = 4 * Tracer::kSegmentSlots;
+
+void check_wraparound_keeps_newest(std::size_t capacity) {
+  SCOPED_TRACE(capacity);
+  Tracer t(0, capacity);
+  const std::uint64_t total = capacity + 12;
+  for (std::uint64_t i = 0; i < total; ++i) {
     t.record(TraceEventKind::kSend, 0, kNoNode, /*addr=*/i);
   }
   const auto events = t.events();
-  ASSERT_EQ(events.size(), 8u);
-  // Drop-oldest: the retained window is exactly the last 8 records, in order.
+  ASSERT_EQ(events.size(), capacity);
+  // Drop-oldest: the retained window is exactly the last `capacity`
+  // records, in order.
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].seq, 12 + i);
     EXPECT_EQ(events[i].addr, 12 + i);
   }
-  EXPECT_EQ(t.attempted(), 20u);
+  EXPECT_EQ(t.attempted(), total);
   EXPECT_EQ(t.dropped(), 0u);  // single writer never collides
+}
+
+TEST(Tracer, WraparoundKeepsNewest) {
+  check_wraparound_keeps_newest(8);
+  check_wraparound_keeps_newest(kFourSegments);
 }
 
 TEST(Tracer, ResetEmptiesTheWindow) {
@@ -72,12 +83,14 @@ TEST(Tracer, ResetEmptiesTheWindow) {
   EXPECT_EQ(t.attempted(), 0u);
 }
 
-TEST(Tracer, ConcurrentWritersNeverBlockOrCorrupt) {
+void check_concurrent_writers(std::size_t capacity) {
   // Small ring + many writers forces constant wraparound and slot collisions.
   // The invariants: every retained event is internally consistent (its addr
   // encodes writer/index), kept + dropped == attempted, and seq values are
   // unique — torn slots would violate the first, lost tickets the second.
-  Tracer t(0, 64);
+  // With several segments, writers also race to install each one.
+  SCOPED_TRACE(capacity);
+  Tracer t(0, capacity);
   constexpr int kThreads = 8;
   constexpr std::uint64_t kPerThread = 50000;
   {
@@ -94,7 +107,9 @@ TEST(Tracer, ConcurrentWritersNeverBlockOrCorrupt) {
   }
   // Writers joined: the window is quiescent and safe to drain.
   const auto events = t.events();
-  EXPECT_LE(events.size(), t.capacity());
+  // Every slot was claimed, and a writer that loses a collision leaves the
+  // slot to the one that holds it, so every installed segment ends full.
+  EXPECT_EQ(events.size(), t.capacity());
   EXPECT_EQ(t.attempted(), static_cast<std::uint64_t>(kThreads) * kPerThread);
   std::set<std::uint64_t> seqs;
   for (const TraceEvent& ev : events) {
@@ -107,6 +122,11 @@ TEST(Tracer, ConcurrentWritersNeverBlockOrCorrupt) {
   }
   // Slot collisions may drop events, but never lose accounting.
   EXPECT_LE(t.dropped(), t.attempted() - events.size());
+}
+
+TEST(Tracer, ConcurrentWritersNeverBlockOrCorrupt) {
+  check_concurrent_writers(64);
+  check_concurrent_writers(kFourSegments);
 }
 
 TEST(TraceHub, MergesAndOrdersAcrossNodes) {

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "causalmem/common/coop.hpp"
@@ -260,6 +262,114 @@ TEST(SimScheduler, PartitionBlocksSendsButNotInFlight) {
   const RunReport r = sched.run(first);
   EXPECT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(delivered, 2);
+}
+
+using Channel = std::pair<NodeId, NodeId>;
+
+std::vector<Channel> deliver_channels(const std::vector<Choice>& choices) {
+  std::vector<Channel> out;
+  for (const Choice& c : choices) {
+    if (c.kind == ChoiceKind::kDeliver) out.emplace_back(c.from, c.to);
+  }
+  return out;
+}
+
+/// Resumes the task whenever it is runnable, otherwise delivers on `drain`
+/// (or the first channel); remembers the choice list of the latest pick.
+class DrainStrategy final : public Strategy {
+ public:
+  explicit DrainStrategy(Channel drain) : drain_(drain) {}
+
+  std::size_t pick(const std::vector<Choice>& choices) override {
+    last = choices;
+    for (std::size_t i = 0; i < choices.size(); ++i) {
+      if (choices[i].kind == ChoiceKind::kStep) return i;
+    }
+    for (std::size_t i = 0; i < choices.size(); ++i) {
+      if (Channel{choices[i].from, choices[i].to} == drain_) return i;
+    }
+    return 0;
+  }
+
+  std::vector<Choice> last;
+
+ private:
+  Channel drain_;
+};
+
+TEST(SimScheduler, DeliverChoicesStayInChannelOrderWithManyNodes) {
+  // 300 nodes: from*n+to reaches 89,999, past 16 bits.
+  constexpr std::size_t kNodes = 300;
+  SimScheduler sched;
+  SimTransport net(kNodes, &sched);
+  StatsRegistry stats(kNodes);
+  net.attach_stats(&stats);
+  std::vector<Channel> delivered;
+  for (NodeId i = 0; i < kNodes; ++i) {
+    net.register_node(i, [&delivered](const Message& m) {
+      delivered.emplace_back(m.from, m.to);
+    });
+  }
+  net.start();
+  const auto send = [&net](Channel ch) {
+    Message m;
+    m.type = MsgType::kRead;
+    m.from = ch.first;
+    m.to = ch.second;
+    net.send(std::move(m));
+  };
+  const std::vector<Channel> scrambled = {
+      {299, 298}, {150, 151}, {0, 299}, {5, 6},   {299, 0},
+      {0, 1},     {151, 150}, {5, 299}, {150, 7}, {299, 298}};
+  const Channel refilled{150, 151};
+  DrainStrategy strategy(refilled);
+  std::vector<Channel> after_send;
+  std::vector<Channel> after_crash;
+  std::vector<Channel> after_drain;
+  std::vector<Channel> after_refill;
+  sched.add_task("chaos", [&] {
+    for (const Channel& ch : scrambled) send(ch);
+    coop::yield();
+    after_send = deliver_channels(strategy.last);
+    net.crash_node(299);
+    coop::yield();
+    after_crash = deliver_channels(strategy.last);
+    coop::park([&] { return !delivered.empty(); }, 0, "drain");
+    after_drain = deliver_channels(strategy.last);
+    send(refilled);
+    coop::yield();
+    after_refill = deliver_channels(strategy.last);
+  });
+  const RunReport r = sched.run(strategy);
+  ASSERT_TRUE(r.ok()) << r.error;
+
+  // One choice per non-empty channel, ascending by (from, to).
+  EXPECT_EQ(after_send,
+            (std::vector<Channel>{{0, 1}, {0, 299}, {5, 6}, {5, 299},
+                                  {150, 7}, {150, 151}, {151, 150},
+                                  {299, 0}, {299, 298}}));
+  // The crash purges exactly node 299's channels, counted per sender.
+  const std::vector<Channel> survivors = {
+      {0, 1}, {5, 6}, {150, 7}, {150, 151}, {151, 150}};
+  EXPECT_EQ(after_crash, survivors);
+  EXPECT_EQ(stats.node(299).get(Counter::kNetFaultDrop), 3u);
+  EXPECT_EQ(stats.node(0).get(Counter::kNetFaultDrop), 1u);
+  EXPECT_EQ(stats.node(5).get(Counter::kNetFaultDrop), 1u);
+  EXPECT_EQ(stats.node(150).get(Counter::kNetFaultDrop), 0u);
+  // The drained channel leaves the list and comes back at its ordered
+  // position.
+  ASSERT_FALSE(delivered.empty());
+  EXPECT_EQ(delivered.front(), refilled);
+  EXPECT_EQ(after_drain, (std::vector<Channel>{
+                             {0, 1}, {5, 6}, {150, 7}, {151, 150}}));
+  EXPECT_EQ(after_refill, survivors);
+  // Everything else was delivered exactly once after the task finished.
+  std::vector<Channel> expected_deliveries = survivors;
+  expected_deliveries.push_back(refilled);
+  std::sort(delivered.begin(), delivered.end());
+  std::sort(expected_deliveries.begin(), expected_deliveries.end());
+  EXPECT_EQ(delivered, expected_deliveries);
+  EXPECT_EQ(net.pending_count(), 0u);
 }
 
 // A nontrivial scenario for record/replay: two senders race into one
