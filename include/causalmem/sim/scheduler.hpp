@@ -1,13 +1,14 @@
 // SimScheduler: single-threaded deterministic simulation of a DsmSystem.
 //
 // Message delivery, per-node application steps and timer expiry are events
-// in one scheduler-controlled loop. Application workloads run as
-// cooperative tasks: each has a real OS thread, but exactly one logical
-// thread (one task, or the scheduler itself) executes at any moment — the
-// scheduler resumes a task, the task runs until it parks on a wait
-// condition (coop::park — future waits, flush fences, yields) or finishes,
-// and control returns to the scheduler. Message handlers run inline on the
-// scheduler thread during deliver events. Under this discipline every
+// in one scheduler-controlled loop, all on the thread that calls run().
+// Application workloads run as cooperative tasks: each is a fiber with its
+// own stack on that same thread, so exactly one logical thread (one task,
+// or the scheduler itself) executes at any moment — the scheduler switches
+// into a task, the task runs until it parks on a wait condition
+// (coop::park — future waits, flush fences, yields) or finishes, and
+// control switches back. Message handlers and timers run on the scheduler's
+// own stack during deliver and timer events. Under this discipline every
 // mutex in the protocol stack is uncontended and every execution is a pure
 // function of the choice sequence (the Schedule).
 //
@@ -25,9 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <semaphore>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "causalmem/common/coop.hpp"
@@ -140,11 +139,19 @@ struct RunReport {
 /// the scheduler first, then the DsmSystem(s) under test, then run().
 class SimScheduler final : public coop::Parker {
  public:
+  /// Stack available to each task body; the page below it is a guard, so a
+  /// body that needs more faults instead of writing into another stack.
+  /// Stack high-water marks over the simulator, scale and sim-driven dsm
+  /// suites are 5-6 KB optimised and 11 KB under ASan Debug, and only
+  /// touched pages count toward RSS.
+  static constexpr std::size_t kTaskStackBytes = std::size_t{256} * 1024;
+
   explicit SimScheduler(SimOptions options = {});
   ~SimScheduler() override;
 
   /// Registers a cooperative task (one application workload). Call before
-  /// run(). Returns the task index (the `actor` of its step choices).
+  /// run(). Returns the task index (the `actor` of its step choices). The
+  /// task's stack is mapped when run() first resumes it.
   std::uint32_t add_task(std::string name, std::function<void()> body);
 
   /// Registers a timer firing at virtual `due_ns`, then every `period_ns`
@@ -171,8 +178,10 @@ class SimScheduler final : public coop::Parker {
     transport_ = transport;
   }
 
-  /// Executes the simulation to completion under `strategy`. One run per
-  /// scheduler instance.
+  /// Executes the simulation to completion under `strategy`, running every
+  /// task as a fiber on the calling thread. One run per scheduler instance.
+  /// On return no task is parked (an unfinished run unwinds each one) and
+  /// every task stack is unmapped.
   RunReport run(Strategy& strategy);
 
   [[nodiscard]] std::uint64_t now_ns() const noexcept {
@@ -182,26 +191,14 @@ class SimScheduler final : public coop::Parker {
   // coop::Parker ----------------------------------------------------------
   void park(const std::function<bool()>& ready, std::uint64_t deadline_ns,
             const char* what) override;
-  [[nodiscard]] bool on_task_thread() const noexcept override;
+  /// True only on the thread inside run() while a task's fiber executes:
+  /// deliver handlers, timers and threads a task starts see false.
+  [[nodiscard]] bool in_task() const noexcept override;
 
  private:
-  struct Task {
-    std::string name;
-    std::function<void()> body;
-    std::thread thread;
-    enum class State : std::uint8_t {
-      kIdle,      ///< runnable: waiting for the scheduler to resume it
-      kRunning,   ///< currently executing (scheduler is blocked)
-      kParked,    ///< waiting on `ready` / `deadline_ns`
-      kFinished,
-    };
-    State state{State::kIdle};
-    bool started{false};
-    std::binary_semaphore wake{0};  ///< released to resume this task
-    std::function<bool()> ready;
-    std::uint64_t deadline_ns{0};
-    const char* what{""};
-  };
+  /// One cooperative task: its body, its wait condition while parked, and
+  /// its fiber (defined in scheduler.cpp, which owns the context switch).
+  struct Task;
 
   struct Timer {
     std::string name;
@@ -218,9 +215,8 @@ class SimScheduler final : public coop::Parker {
   void collect_choices(std::vector<Choice>* out) const;
   void execute(const Choice& c, std::size_t idx);
   void resume_task(Task& t);
-  void task_main(Task& t);
+  static void fiber_entry() noexcept;
   void abort_tasks();
-  void join_tasks();
   [[nodiscard]] std::string deadlock_diagnosis() const;
 
   SimOptions opt_;
@@ -231,11 +227,9 @@ class SimScheduler final : public coop::Parker {
   std::vector<std::unique_ptr<Task>> tasks_;
   std::vector<Timer> timers_;
 
-  // Scheduler <-> task baton. Resuming a task releases its `wake` and
-  // acquires `sched_wake_`; parking or finishing does the reverse. Each
-  // hand-off wakes exactly one thread, and the semaphore's release/acquire
-  // orders every state change made before it.
-  std::binary_semaphore sched_wake_{0};
+  /// The task whose fiber is executing; nullptr while the scheduler's own
+  /// stack runs (between steps, and inside deliver and timer events).
+  Task* current_{nullptr};
   bool aborting_{false};
   bool ran_{false};
 };

@@ -24,10 +24,9 @@
 // not acquire a link dependency on the sim library. Everything it calls on
 // SimScheduler is inline.
 //
-// Thread-safety: none needed. Under the cooperative scheduler exactly one
-// logical thread runs at a time, and the scheduler's semaphore hand-off
-// orders task/scheduler transitions, so plain containers are both safe and
-// deterministic here.
+// Thread-safety: none needed. Under the cooperative scheduler every task
+// is a fiber on the scheduler's thread and exactly one logical thread runs
+// at a time, so plain containers are both safe and deterministic here.
 #pragma once
 
 #include <cstdint>

@@ -384,8 +384,8 @@ void CausalNode::flush() {
 void CausalNode::wait_flushed(std::unique_lock<std::mutex>& lock) {
   if (coop::enabled()) {
     // Simulated run: hand control to the scheduler instead of blocking the
-    // task thread. The lock must be dropped while parked — the handler that
-    // drains outstanding_async_ runs on the scheduler thread and takes mu_.
+    // thread. The lock must be dropped while parked — the handler that
+    // drains outstanding_async_ runs on the scheduler's stack and takes mu_.
     while (outstanding_async_ > 0) {
       lock.unlock();
       coop::park(

@@ -16,8 +16,8 @@ namespace causalmem::sim {
 namespace {
 
 /// Shared between the chaos task (writer) and the workload tasks (readers).
-/// Plain fields are safe: exactly one logical thread runs at a time and the
-/// scheduler's semaphore hand-off orders every transition.
+/// Plain fields are safe: every task is a fiber on the scheduler's thread,
+/// and exactly one of them runs at a time.
 struct ChaosState {
   std::vector<std::uint8_t> crashed;
   bool finished{false};

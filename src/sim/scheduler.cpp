@@ -1,18 +1,179 @@
 #include "causalmem/sim/scheduler.hpp"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <limits>
 #include <sstream>
 
 #include "causalmem/sim/transport.hpp"
 
+// Sanitizers must be told about every stack switch: ASan tracks which stack
+// is current (without it, TaskAbort thrown on a fiber trips its no-return
+// check), and TSan keeps one happens-before clock per fiber. Selected at
+// compile time; plain builds compile none of it.
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CAUSALMEM_SIM_ASAN 1
+#endif
+#if __has_feature(thread_sanitizer)
+#define CAUSALMEM_SIM_TSAN 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+#define CAUSALMEM_SIM_ASAN 1
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define CAUSALMEM_SIM_TSAN 1
+#endif
+#if defined(CAUSALMEM_SIM_ASAN)
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(CAUSALMEM_SIM_TSAN)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace causalmem::sim {
 
 namespace {
-// Identifies the task a thread belongs to (coop::Parker::on_task_thread and
-// park routing). Plain pointers: tasks never migrate between threads.
+
+// The scheduler whose run() is executing on this thread. in_task() checks
+// it first, so threads outside run() never read the scheduler's state.
 thread_local SimScheduler* tl_sched = nullptr;
-thread_local void* tl_task = nullptr;
+
+/// A task's execution context: an mmap'd stack whose lowest page is a
+/// PROT_NONE guard (an overflow faults instead of writing into a
+/// neighbour), and the saved registers of both sides of the switch.
+struct Fiber {
+  void* map{nullptr};  ///< guard page + stack; null when not mapped
+  std::size_t map_bytes{0};
+  ucontext_t self{};    ///< the task's registers while it is switched out
+  ucontext_t caller{};  ///< the scheduler's registers while the task runs
+#if defined(CAUSALMEM_SIM_ASAN)
+  const void* caller_stack{nullptr};
+  std::size_t caller_stack_bytes{0};
+#endif
+#if defined(CAUSALMEM_SIM_TSAN)
+  void* tsan_self{nullptr};
+  void* tsan_caller{nullptr};
+#endif
+
+  [[nodiscard]] void* stack_lo() const {
+    return static_cast<char*>(map) +
+           (map_bytes - SimScheduler::kTaskStackBytes);
+  }
+};
+
+/// Maps the stack and prepares `f` to run `entry` on its first resume.
+void fiber_start(Fiber& f, void (*entry)()) {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  f.map_bytes = page + SimScheduler::kTaskStackBytes;
+  f.map = mmap(nullptr, f.map_bytes, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+  CM_ASSERT_MSG(f.map != MAP_FAILED, "mmap of a task stack failed");
+  const int guarded = mprotect(f.map, page, PROT_NONE);
+  CM_ASSERT_MSG(guarded == 0, "mprotect of a stack guard page failed");
+  const int got = getcontext(&f.self);
+  CM_ASSERT(got == 0);
+  f.self.uc_stack.ss_sp = f.stack_lo();
+  f.self.uc_stack.ss_size = SimScheduler::kTaskStackBytes;
+  f.self.uc_link = nullptr;  // entry never returns: it exits the fiber
+  makecontext(&f.self, entry, 0);
+#if defined(CAUSALMEM_SIM_TSAN)
+  f.tsan_self = __tsan_create_fiber(0);
+#endif
+}
+
+/// Scheduler -> task; returns when the task parks or finishes.
+void fiber_resume(Fiber& f) {
+#if defined(CAUSALMEM_SIM_TSAN)
+  f.tsan_caller = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(f.tsan_self, 0);
+#endif
+#if defined(CAUSALMEM_SIM_ASAN)
+  void* fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(&fake_stack, f.stack_lo(),
+                                 SimScheduler::kTaskStackBytes);
+#endif
+  const int switched = swapcontext(&f.caller, &f.self);
+  CM_ASSERT(switched == 0);
+#if defined(CAUSALMEM_SIM_ASAN)
+  __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
+}
+
+/// First statement on a new fiber: completes the scheduler's switch.
+void fiber_entered(Fiber& f) {
+#if defined(CAUSALMEM_SIM_ASAN)
+  __sanitizer_finish_switch_fiber(nullptr, &f.caller_stack,
+                                  &f.caller_stack_bytes);
+#else
+  (void)f;
+#endif
+}
+
+/// Task -> scheduler; returns when the scheduler resumes the task.
+void fiber_suspend(Fiber& f) {
+#if defined(CAUSALMEM_SIM_TSAN)
+  __tsan_switch_to_fiber(f.tsan_caller, 0);
+#endif
+#if defined(CAUSALMEM_SIM_ASAN)
+  void* fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(&fake_stack, f.caller_stack,
+                                 f.caller_stack_bytes);
+#endif
+  const int switched = swapcontext(&f.self, &f.caller);
+  CM_ASSERT(switched == 0);
+#if defined(CAUSALMEM_SIM_ASAN)
+  __sanitizer_finish_switch_fiber(fake_stack, &f.caller_stack,
+                                  &f.caller_stack_bytes);
+#endif
+}
+
+/// Task -> scheduler for the last time; the stack stays mapped (unused)
+/// until fiber_release.
+[[noreturn]] void fiber_exit(Fiber& f) {
+#if defined(CAUSALMEM_SIM_TSAN)
+  __tsan_switch_to_fiber(f.tsan_caller, 0);
+#endif
+#if defined(CAUSALMEM_SIM_ASAN)
+  // A null save slot tells ASan this stack is left for good.
+  __sanitizer_start_switch_fiber(nullptr, f.caller_stack,
+                                 f.caller_stack_bytes);
+#endif
+  setcontext(&f.caller);
+  CM_UNREACHABLE("setcontext returned");
+}
+
+/// Unmaps the stack of a fiber that is not running (or was never started).
+void fiber_release(Fiber& f) noexcept {
+  if (f.map == nullptr) return;
+#if defined(CAUSALMEM_SIM_TSAN)
+  __tsan_destroy_fiber(f.tsan_self);
+  f.tsan_self = nullptr;
+#endif
+  munmap(f.map, f.map_bytes);
+  f.map = nullptr;
+}
+
 }  // namespace
+
+struct SimScheduler::Task {
+  enum class State : std::uint8_t {
+    kIdle,      ///< not started: its first step runs the body
+    kRunning,   ///< its fiber is executing (the scheduler's stack waits)
+    kParked,    ///< waiting on `ready` / `deadline_ns`
+    kFinished,
+  };
+  std::string name;
+  std::function<void()> body;
+  State state{State::kIdle};
+  std::function<bool()> ready;
+  std::uint64_t deadline_ns{0};
+  const char* what{""};
+  Fiber fiber;  ///< mapped on the first resume, released when run() ends
+};
 
 std::size_t ReplayStrategy::pick(const std::vector<Choice>& choices) {
   if (pos_ >= schedule_.steps.size()) return 0;  // canonical tail
@@ -40,10 +201,14 @@ SimScheduler::SimScheduler(SimOptions options)
 }
 
 SimScheduler::~SimScheduler() {
-  // Normally run() has already torn everything down; this path covers a
-  // scheduler destroyed without (or after an aborted) run.
-  abort_tasks();
-  join_tasks();
+  // run() unwinds every parked task and unmaps every stack before it
+  // returns, so no fiber outlives it: resuming one here could run a task
+  // on a thread other than run()'s.
+  for (const auto& tp : tasks_) {
+    CM_ASSERT(tp->state == Task::State::kIdle ||
+              tp->state == Task::State::kFinished);
+    CM_ASSERT(tp->fiber.map == nullptr);
+  }
   coop::set_parker(nullptr);
   obs::set_clock_source(nullptr);
 }
@@ -59,57 +224,54 @@ std::uint32_t SimScheduler::add_task(std::string name,
   return static_cast<std::uint32_t>(tasks_.size() - 1);
 }
 
-bool SimScheduler::on_task_thread() const noexcept {
-  return tl_sched == this && tl_task != nullptr;
+bool SimScheduler::in_task() const noexcept {
+  return tl_sched == this && current_ != nullptr;
 }
 
 void SimScheduler::park(const std::function<bool()>& ready,
                         std::uint64_t deadline_ns, const char* what) {
-  CM_ASSERT(on_task_thread());
-  Task& t = *static_cast<Task*>(tl_task);
+  CM_ASSERT(in_task());
+  Task& t = *current_;
   t.state = Task::State::kParked;
   t.ready = ready;
   t.deadline_ns = deadline_ns;
   t.what = what;
-  sched_wake_.release();
-  t.wake.acquire();
+  fiber_suspend(t.fiber);
   if (aborting_) throw TaskAbort{};
 }
 
-void SimScheduler::task_main(Task& t) {
-  tl_sched = this;
-  tl_task = &t;
+void SimScheduler::fiber_entry() noexcept {
+  // noexcept: an exception other than TaskAbort escaping a body ends in
+  // std::terminate, as it would at the top of a thread.
+  Task& t = *tl_sched->current_;
+  fiber_entered(t.fiber);
   try {
     t.body();
   } catch (const TaskAbort&) {
-    // Unwound by abort_tasks; fall through to the finished hand-off.
+    // Unwound by abort_tasks; fall through to the final switch.
   }
   t.state = Task::State::kFinished;
-  sched_wake_.release();
+  fiber_exit(t.fiber);
 }
 
 void SimScheduler::resume_task(Task& t) {
-  CM_ASSERT(t.state != Task::State::kRunning &&
-            t.state != Task::State::kFinished);
+  CM_ASSERT(t.state == Task::State::kIdle ||
+            t.state == Task::State::kParked);
+  if (t.state == Task::State::kIdle) fiber_start(t.fiber, &fiber_entry);
   t.state = Task::State::kRunning;
   t.ready = nullptr;
   t.deadline_ns = 0;
   t.what = "";
-  if (!t.started) {
-    t.started = true;
-    // The new thread runs the body immediately; the scheduler blocks below
-    // until the task parks or finishes, so one logical thread at a time.
-    t.thread = std::thread([this, &t] { task_main(t); });
-  } else {
-    t.wake.release();
-  }
-  sched_wake_.acquire();
+  // The task runs on this thread until it parks or finishes.
+  current_ = &t;
+  fiber_resume(t.fiber);
+  current_ = nullptr;
 }
 
 bool SimScheduler::task_runnable(const Task& t) const {
   switch (t.state) {
     case Task::State::kIdle:
-      return !t.started;  // runnable: first step starts the body
+      return true;  // its first step starts the body
     case Task::State::kParked:
       if (t.ready && t.ready()) return true;
       return t.deadline_ns != 0 && clock_.now_ns() >= t.deadline_ns;
@@ -177,7 +339,7 @@ std::string SimScheduler::deadlock_diagnosis() const {
     const Task& t = *tp;
     if (t.state == Task::State::kFinished) continue;
     os << " [task '" << t.name << "' ";
-    if (!t.started) {
+    if (t.state == Task::State::kIdle) {
       os << "not started";
     } else {
       os << "parked on '" << t.what << "'";
@@ -193,26 +355,22 @@ std::string SimScheduler::deadlock_diagnosis() const {
 
 void SimScheduler::abort_tasks() {
   aborting_ = true;
-  // Resume unfinished tasks one at a time; each throws TaskAbort out of its
-  // park() and unwinds to task_main. Sequential, so teardown is as
-  // deterministic as the run itself.
+  // Resume parked tasks one at a time; each throws TaskAbort out of its
+  // park() and unwinds on its own stack to fiber_entry. Sequential, so
+  // teardown is as deterministic as the run itself.
   for (auto& tp : tasks_) {
     Task& t = *tp;
-    if (!t.started || t.state == Task::State::kFinished) continue;
-    CM_ASSERT(t.state == Task::State::kParked);
+    if (t.state != Task::State::kParked) continue;
     resume_task(t);
-  }
-}
-
-void SimScheduler::join_tasks() {
-  for (auto& tp : tasks_) {
-    if (tp->thread.joinable()) tp->thread.join();
+    CM_ASSERT_MSG(t.state == Task::State::kFinished,
+                  "a task parked again while unwinding");
   }
 }
 
 RunReport SimScheduler::run(Strategy& strategy) {
   CM_EXPECTS_MSG(!ran_, "SimScheduler::run is single-use");
   ran_ = true;
+  tl_sched = this;
   RunReport rep;
   std::vector<Choice> choices;
   for (;;) {
@@ -279,7 +437,8 @@ RunReport SimScheduler::run(Strategy& strategy) {
   }
 
   if (!rep.completed) abort_tasks();
-  join_tasks();
+  for (auto& tp : tasks_) fiber_release(tp->fiber);
+  tl_sched = nullptr;
   rep.end_ns = clock_.now_ns();
   return rep;
 }

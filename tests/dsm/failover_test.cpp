@@ -17,6 +17,7 @@
 #include "causalmem/history/causal_checker.hpp"
 #include "causalmem/history/recorder.hpp"
 #include "causalmem/obs/clock.hpp"
+#include "causalmem/sim/scenarios.hpp"
 
 namespace causalmem {
 namespace {
@@ -362,6 +363,47 @@ TEST(OwnerFailover, HeartbeatDetectsIdleCrash) {
   const StatsSnapshot stats = sys.stats().total();
   EXPECT_GT(stats[Counter::kNetHeartbeat], 0u);
   EXPECT_EQ(stats[Counter::kFoFailover], 1u);
+}
+
+TEST(OwnerFailover, HeartbeatDetectsIdleCrashInVirtualTime) {
+  // The test above on the simulator's virtual clock, where its 20 ms
+  // suspicion threshold cannot be crossed by a loaded host: node 2 dies
+  // silently at 5 ms with no application traffic, and at 100 ms both
+  // survivors read one of its locations.
+  using namespace std::chrono_literals;
+  sim::CausalScenarioConfig cfg;
+  cfg.nodes = 3;
+  cfg.config = deadline_config();
+  cfg.failover = true;
+  cfg.heartbeat = true;
+  cfg.heartbeat_interval = 1ms;
+  cfg.heartbeat_suspect_after = 20ms;
+  const auto at = [](std::chrono::nanoseconds t) {
+    return static_cast<std::uint64_t>(t.count());
+  };
+  const std::vector<sim::ScriptOp> reader = {
+      sim::ScriptOp::sleep_until(at(100ms)), sim::ScriptOp::read(2)};
+  cfg.scripts = {reader, reader};
+  cfg.chaos = {sim::ChaosEvent::crash(at(5ms), 2)};
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    sim::RandomWalkStrategy walk(seed);
+    sim::ScenarioOutcome out;
+    const sim::ExecutionResult res = sim::run_causal_scenario(cfg, walk, &out);
+    ASSERT_TRUE(res.report.ok()) << "seed " << seed << ": " << res.report.error;
+    EXPECT_TRUE(res.consistent) << "seed " << seed << ": " << res.violation;
+    EXPECT_GT(out.totals[Counter::kNetHeartbeat], 0u) << "seed " << seed;
+    EXPECT_EQ(out.totals[Counter::kFoFailover], 1u) << "seed " << seed;
+    // The migrated location is servable: an election with no journaled
+    // copy anywhere yields the initial value.
+    for (NodeId p = 0; p < 2; ++p) {
+      ASSERT_EQ(out.history.per_process[p].size(), 1u)
+          << "seed " << seed << " p" << p;
+      const Operation& op = out.history.per_process[p][0];
+      EXPECT_EQ(op.kind, OpKind::kRead) << "seed " << seed << " p" << p;
+      EXPECT_EQ(op.addr, 2u) << "seed " << seed << " p" << p;
+      EXPECT_EQ(op.value, kInitialValue) << "seed " << seed << " p" << p;
+    }
+  }
 }
 
 TEST(OwnerFailover, FaultFreeRunKeepsEveryRecoveryCounterZero) {

@@ -1,12 +1,19 @@
 // SimScheduler mechanics: cooperative task stepping, park/ready wakeups,
 // virtual-time deadlines and timers, deadlock/livelock reporting, transport
-// delivery choices, and schedule record/replay.
+// delivery choices, schedule record/replay, and the fiber contract (unwinding,
+// task identity, stack isolation).
 #include "causalmem/sim/scheduler.hpp"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -262,6 +269,253 @@ TEST(SimScheduler, PartitionBlocksSendsButNotInFlight) {
   const RunReport r = sched.run(first);
   EXPECT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(delivered, 2);
+}
+
+/// Counts, from its destructor, unwinds that happen before run() returns.
+struct UnwindProbe {
+  const bool* run_returned;
+  int* unwound_in_run;
+  ~UnwindProbe() {
+    if (!*run_returned) ++*unwound_in_run;
+  }
+};
+
+TEST(SimScheduler, ParkedTasksUnwindBeforeRunReturns) {
+  // An unfinished run (deadlock or max_steps) resumes each parked task so
+  // TaskAbort unwinds its stack: RAII guards on it run before run() returns.
+  const auto run_parked_pair = [](SimOptions opt, auto body) {
+    SimScheduler sched(opt);
+    bool run_returned = false;
+    int unwound_in_run = 0;
+    for (const char* name : {"a", "b"}) {
+      sched.add_task(name, [&, body] {
+        UnwindProbe probe{&run_returned, &unwound_in_run};
+        body();
+      });
+    }
+    RoundRobinStrategy rr;
+    RunReport r = sched.run(rr);
+    run_returned = true;
+    EXPECT_EQ(unwound_in_run, 2);
+    return r;
+  };
+  const RunReport deadlocked = run_parked_pair(
+      SimOptions{}, [] { coop::park([] { return false; }, 0, "never"); });
+  EXPECT_TRUE(deadlocked.deadlocked) << deadlocked.error;
+
+  SimOptions bounded;
+  bounded.max_steps = 20;
+  const RunReport livelocked = run_parked_pair(bounded, [] {
+    for (;;) coop::yield();
+  });
+  EXPECT_FALSE(livelocked.completed);
+  EXPECT_NE(livelocked.error.find("max_steps"), std::string::npos)
+      << livelocked.error;
+}
+
+TEST(SimScheduler, CoopIsEnabledOnlyInsideTaskBodies) {
+  SimScheduler sched;
+  SimTransport net(2, &sched);
+  int in_body = -1;
+  int in_thread = -1;
+  int in_handler = -1;
+  int in_timer = -1;
+  net.register_node(0, [](const Message&) {});
+  net.register_node(1, [&](const Message&) { in_handler = coop::enabled(); });
+  net.start();
+  sched.add_timer("probe", sched.now_ns() + 5'000, 0,
+                  [&] { in_timer = coop::enabled(); });
+  sched.add_task("t", [&] {
+    in_body = coop::enabled();
+    std::thread helper([&] { in_thread = coop::enabled(); });
+    helper.join();
+    Message m;
+    m.type = MsgType::kRead;
+    m.from = 0;
+    m.to = 1;
+    net.send(std::move(m));
+    coop::park([&] { return in_handler != -1 && in_timer != -1; }, 0,
+               "probes");
+  });
+  EXPECT_FALSE(coop::enabled());  // the test thread, before run()
+  FirstChoiceStrategy first;
+  const RunReport r = sched.run(first);
+  EXPECT_TRUE(r.ok()) << r.error;
+  EXPECT_FALSE(coop::enabled());  // and after it
+  EXPECT_EQ(in_body, 1);
+  EXPECT_EQ(in_thread, 0);
+  EXPECT_EQ(in_handler, 0);
+  EXPECT_EQ(in_timer, 0);
+}
+
+std::uint64_t checksum(const std::uint8_t* bytes, std::size_t n) {
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a
+  for (std::size_t i = 0; i < n; ++i) {
+    h = (h ^ bytes[i]) * 1099511628211ULL;
+  }
+  return h;
+}
+
+/// Shared by the two recursing tasks.
+struct DeepState {
+  int at_bottom{0};
+  std::vector<int> seen_at_bottom;  ///< at_bottom after each bottom park
+  std::string order;  ///< task tag after each park on the way back up
+};
+
+/// Recurses `depth` 1 KiB frames, parks at the bottom and at every level
+/// on the way back up, and returns how many frames kept their bytes. Each
+/// frame's address is published in `frames`, so the compiler must assume
+/// a park can change the frame and re-read it afterwards.
+int park_deep(char tag, int depth, DeepState& st,
+              std::vector<const std::uint8_t*>& frames) {
+  std::array<std::uint8_t, 1024> frame;
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    frame[i] = static_cast<std::uint8_t>(tag * 131 + depth * 7 + i);
+  }
+  frames.push_back(frame.data());
+  const std::uint64_t sum = checksum(frame.data(), frame.size());
+  int intact = 0;
+  if (depth == 0) {
+    ++st.at_bottom;
+    coop::yield();
+    st.seen_at_bottom.push_back(st.at_bottom);
+  } else {
+    intact = park_deep(tag, depth - 1, st, frames);
+  }
+  coop::yield();
+  st.order.push_back(tag);
+  return intact + (checksum(frame.data(), frame.size()) == sum ? 1 : 0);
+}
+
+TEST(SimScheduler, DeepStacksKeepTheirLocalsAcrossInterleavedParks) {
+  constexpr int kFrames = 64;  // 64 KiB of locals per task
+  SimScheduler sched;
+  DeepState st;
+  std::vector<const std::uint8_t*> frames_a;
+  std::vector<const std::uint8_t*> frames_b;
+  int intact_a = -1;
+  int intact_b = -1;
+  sched.add_task("a", [&] {
+    intact_a = park_deep('a', kFrames - 1, st, frames_a);
+  });
+  sched.add_task("b", [&] {
+    intact_b = park_deep('b', kFrames - 1, st, frames_b);
+  });
+  RoundRobinStrategy rr;
+  const RunReport r = sched.run(rr);
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(intact_a, kFrames);
+  EXPECT_EQ(intact_b, kFrames);
+  // Each task parked at its bottom while the other reached its own, and
+  // the two unwound alternately.
+  EXPECT_EQ(st.seen_at_bottom, (std::vector<int>{2, 2}));
+  ASSERT_EQ(st.order.size(), 2u * kFrames);
+  EXPECT_EQ(st.order.substr(0, 4), "abab");
+  // The stacks are disjoint, and each spans at least 64 KiB.
+  const auto span = [](const std::vector<const std::uint8_t*>& f) {
+    return std::pair{reinterpret_cast<std::uintptr_t>(f.back()),
+                     reinterpret_cast<std::uintptr_t>(f.front()) + 1024};
+  };
+  const auto [lo_a, hi_a] = span(frames_a);
+  const auto [lo_b, hi_b] = span(frames_b);
+  EXPECT_GE(hi_a - lo_a, kFrames * 1024);
+  EXPECT_GE(hi_b - lo_b, kFrames * 1024);
+  EXPECT_TRUE(hi_a <= lo_b || hi_b <= lo_a);
+}
+
+// State of the overflow death test, read by its SIGSEGV handler.
+struct OverflowProbe {
+  const std::uint8_t* neighbour{nullptr};
+  std::size_t neighbour_bytes{0};
+  std::uint64_t neighbour_sum{0};
+  std::uintptr_t top{0};  ///< a local near the top of the overflowing stack
+};
+OverflowProbe g_overflow;
+volatile std::uint64_t g_depth_limit = ~std::uint64_t{0};
+constexpr int kOverflowStopped = 3;
+
+void write_stderr(const char* msg) {
+  ssize_t unused = write(STDERR_FILENO, msg, std::strlen(msg));
+  (void)unused;
+}
+
+void on_overflow_fault(int, siginfo_t* info, void*) {
+  const auto fault = reinterpret_cast<std::uintptr_t>(info->si_addr);
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  // The guard page is the one just below the task's stack, whose top lies
+  // at most a few KiB above `top`.
+  const std::uintptr_t below_top = g_overflow.top - fault;
+  const bool on_guard = fault < g_overflow.top &&
+                        below_top > SimScheduler::kTaskStackBytes - 16 * 1024 &&
+                        below_top <= SimScheduler::kTaskStackBytes + page;
+  const bool neighbour_intact =
+      checksum(g_overflow.neighbour, g_overflow.neighbour_bytes) ==
+      g_overflow.neighbour_sum;
+  if (on_guard && neighbour_intact) {
+    write_stderr("overflow stopped at the guard page; neighbour intact\n");
+    _exit(kOverflowStopped);
+  }
+  write_stderr(on_guard ? "neighbour stack corrupted\n"
+                        : "fault outside the guard page\n");
+  _exit(kOverflowStopped + 1);
+}
+
+/// Recurses until the stack runs out. Each frame's buffer is written by
+/// its callee, so every frame stays live and the recursion cannot become
+/// a loop; the limit is never reached but keeps the compiler from calling
+/// the recursion infinite.
+std::uint64_t recurse_until_fault(volatile std::uint8_t* caller,
+                                  std::uint64_t depth) {
+  volatile std::uint8_t frame[512];
+  frame[0] = static_cast<std::uint8_t>(depth);
+  if (caller != nullptr) caller[1] = frame[0];
+  if (depth == g_depth_limit) return depth;
+  return recurse_until_fault(frame, depth + 1) + frame[1];
+}
+
+void overflow_beside_a_parked_task() {
+  static std::array<std::uint8_t, 64 * 1024> alt_stack;
+  stack_t ss{};
+  ss.ss_sp = alt_stack.data();
+  ss.ss_size = alt_stack.size();
+  sigaltstack(&ss, nullptr);
+  struct sigaction sa{};
+  sa.sa_sigaction = on_overflow_fault;
+  sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+  sigaction(SIGSEGV, &sa, nullptr);
+
+  SimScheduler sched;
+  // The overflowing task's stack is mapped first; the neighbour's, mapped
+  // next, typically lands directly below it, where an unguarded overflow
+  // would write first.
+  sched.add_task("overflow", [] {
+    int top = 0;
+    g_overflow.top = reinterpret_cast<std::uintptr_t>(&top);
+    coop::yield();
+    (void)recurse_until_fault(nullptr, 0);
+  });
+  sched.add_task("neighbour", [] {
+    std::array<std::uint8_t, 4096> canary;
+    for (std::size_t i = 0; i < canary.size(); ++i) {
+      canary[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    }
+    g_overflow.neighbour = canary.data();
+    g_overflow.neighbour_bytes = canary.size();
+    g_overflow.neighbour_sum = checksum(canary.data(), canary.size());
+    coop::park([] { return false; }, 0, "forever");
+  });
+  RoundRobinStrategy rr;  // overflow, neighbour, overflow
+  (void)sched.run(rr);
+}
+
+TEST(SimScheduler, StackOverflowFaultsOnTheGuardPage) {
+  // Re-execute the binary for the child instead of forking this process,
+  // which may already run sanitizer or test-framework threads.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(overflow_beside_a_parked_task(),
+              testing::ExitedWithCode(kOverflowStopped),
+              "overflow stopped at the guard page; neighbour intact");
 }
 
 using Channel = std::pair<NodeId, NodeId>;
