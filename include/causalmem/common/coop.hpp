@@ -18,9 +18,18 @@
 //   - `deadline_ns` is VIRTUAL time (obs::now_ns()); 0 means no deadline;
 //   - park returns when `ready()` held, or virtual time reached the
 //     deadline, whichever the scheduler observes first.
+//   - An EMPTY `ready` means "until woken": the task waits for a
+//     wake(token) naming it (token from self()), or for its deadline. The
+//     scheduler then tests nothing per step, so waits whose condition
+//     changes only at one known place (a reply slot being filled) should
+//     record self() there and park this way. A wake that reaches the task
+//     before it parks (while it runs) is kept until the task next
+//     resumes, so no wake-up is lost between registering and parking.
+//     Wakes are ignored while a task is parked on a predicate.
 //
 // When no parker is installed (every non-simulated run) park()/yield()
-// return false and the call site falls back to its real blocking primitive.
+// return false and the call site falls back to its real blocking
+// primitive; self() is kNoTask there, and wake(kNoTask) does nothing.
 #pragma once
 
 #include <atomic>
@@ -29,6 +38,11 @@
 
 namespace causalmem::coop {
 
+/// Opaque handle of one parker-managed task, for wake().
+enum class TaskToken : std::uint32_t {};
+/// What self() returns outside a managed task.
+inline constexpr TaskToken kNoTask{~std::uint32_t{0}};
+
 class Parker {
  public:
   Parker() = default;
@@ -36,11 +50,18 @@ class Parker {
   Parker& operator=(const Parker&) = delete;
   virtual ~Parker() = default;
 
-  /// Parks the calling task until `ready()` holds or virtual time reaches
-  /// `deadline_ns` (0 = no deadline). Must only be called from inside a
-  /// task the parker manages (in_task() true).
+  /// Parks the calling task until `ready()` holds (or, with an empty
+  /// `ready`, until it is woken) or virtual time reaches `deadline_ns`
+  /// (0 = no deadline). Must only be called from inside a task the parker
+  /// manages (in_task() true).
   virtual void park(const std::function<bool()>& ready,
                     std::uint64_t deadline_ns, const char* what) = 0;
+
+  /// The calling task's token; kNoTask when in_task() is false.
+  [[nodiscard]] virtual TaskToken self() const noexcept = 0;
+
+  /// Wakes task `t` (never kNoTask): see the empty-`ready` contract above.
+  virtual void wake(TaskToken t) = 0;
 
   /// True when the caller is running inside a task this parker schedules.
   /// Everything else (the scheduler's own code, message handlers and timers
@@ -81,11 +102,29 @@ inline bool park(const std::function<bool()>& ready, std::uint64_t deadline_ns,
   return true;
 }
 
+/// The calling task's token, for a later wake(); kNoTask when the caller is
+/// not a managed task.
+[[nodiscard]] inline TaskToken self() noexcept {
+  Parker* p = current();
+  return p == nullptr ? kNoTask : p->self();
+}
+
+/// Wakes the task `t` parked (or about to park) with an empty `ready`. One
+/// compare when `t` is kNoTask, as every wait outside a simulation records.
+inline void wake(TaskToken t) {
+  if (t == kNoTask) return;
+  if (Parker* p = current()) p->wake(t);
+}
+
 /// Cooperative yield: gives the scheduler a choice point without a wait
-/// condition (the task is immediately runnable again). Returns false when
-/// not running under a parker.
+/// condition (the task wakes itself, so it is immediately runnable again).
+/// Returns false when not running under a parker.
 inline bool yield() {
-  return park([] { return true; }, 0, "yield");
+  Parker* p = current();
+  if (p == nullptr || !p->in_task()) return false;
+  p->wake(p->self());
+  p->park({}, 0, "yield");
+  return true;
 }
 
 }  // namespace causalmem::coop

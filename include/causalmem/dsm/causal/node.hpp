@@ -31,6 +31,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "causalmem/common/coop.hpp"
 #include "causalmem/common/flat_hash_map.hpp"
 #include "causalmem/dsm/causal/config.hpp"
 #include "causalmem/dsm/failover.hpp"
@@ -166,6 +167,9 @@ class CausalNode final : public SharedMemory {
     /// (see the stale-install guard in complete_pending).
     VectorClock serve_snapshot;
     std::promise<Message> reply;
+    /// The simulated task parked on `reply` (await_reply records it), woken
+    /// once the reply is set; kNoTask on every threaded run.
+    coop::TaskToken waiter{coop::kNoTask};
   };
 
   /// invalidate_cache sentinel: exempt no page from the sweep.

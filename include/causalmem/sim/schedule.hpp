@@ -17,12 +17,15 @@
 //   timer <timer-index> [label]    (fire a due timer)
 //
 // Labels are diagnostics only (message type, task name); replay matches on
-// kind + ids. Blank lines and '#' comments are ignored past the header.
+// kind + ids. Ids are decimal in [0, 2^32 - 1]. Blank lines and '#'
+// comments are ignored past the header.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -34,13 +37,22 @@ enum class ChoiceKind : std::uint8_t { kDeliver = 0, kStep, kTimer };
 
 [[nodiscard]] const char* choice_kind_name(ChoiceKind k) noexcept;
 
-/// One schedulable event the scheduler could (or did) execute.
+/// Returns a view of a process-wide copy of `label` that stays valid until
+/// the process exits; equal labels share one copy. Thread-safe.
+[[nodiscard]] std::string_view intern_label(std::string_view label);
+
+/// One schedulable event the scheduler could (or did) execute. Plain data:
+/// every step copies each choice it offers, and a copy must not allocate.
 struct Choice {
   ChoiceKind kind{ChoiceKind::kStep};
   NodeId from{kNoNode};     ///< kDeliver: channel source
   NodeId to{kNoNode};       ///< kDeliver: channel destination
   std::uint32_t actor{0};   ///< kStep: task index; kTimer: timer index
-  std::string label;        ///< diagnostics only (task name, message type)
+  /// Diagnostics only (task name, message type). It views storage that
+  /// outlives every schedule: a string literal, a msg_type_name string, or
+  /// an intern_label copy (the scheduler and Schedule::parse intern what
+  /// they store here).
+  std::string_view label;
 
   /// Identity match for replay: kind and ids, ignoring the label.
   [[nodiscard]] bool matches(const Choice& o) const noexcept {
@@ -50,6 +62,7 @@ struct Choice {
   /// One serialized schedule line (no trailing newline).
   [[nodiscard]] std::string to_line() const;
 };
+static_assert(std::is_trivially_copyable_v<Choice>);
 
 /// An executed (or to-be-replayed) sequence of choices plus free-form
 /// metadata (scenario name, seed, config summary).
@@ -63,9 +76,11 @@ struct Schedule {
 
   [[nodiscard]] std::string to_text() const;
 
-  /// Parses the v1 text format. Returns false (and sets `error`) on any
-  /// malformed input — schedule files cross process boundaries, so this is
-  /// a soft failure, not a contract violation.
+  /// Parses the v1 text format. Returns false (and sets `error`, with the
+  /// line number) on any malformed input, including a negative or
+  /// out-of-range id — schedule files cross process boundaries, so this is
+  /// a soft failure, not a contract violation, and a corrupt file must not
+  /// replay a different execution. Labels are interned.
   static bool parse(const std::string& text, Schedule* out,
                     std::string* error);
 

@@ -6,7 +6,7 @@
 // own stack on that same thread, so exactly one logical thread (one task,
 // or the scheduler itself) executes at any moment — the scheduler switches
 // into a task, the task runs until it parks on a wait condition
-// (coop::park — future waits, flush fences, yields) or finishes, and
+// (coop::park — reply waits, flush fences, yields) or finishes, and
 // control switches back. Message handlers and timers run on the scheduler's
 // own stack during deliver and timer events. Under this discipline every
 // mutex in the protocol stack is uncontended and every execution is a pure
@@ -20,13 +20,19 @@
 // deadlock with a per-task diagnosis instead of hanging.
 //
 // A Strategy chooses among the runnable events each step; see
-// sim/explorer.hpp for the search strategies built on top.
+// sim/explorer.hpp for the search strategies built on top. A step costs what
+// changed since the last one: the transport keeps the deliver choices of its
+// channels and the scheduler the step choices of its runnable tasks, each
+// updated as messages move and tasks park, finish or are woken
+// (coop::wake). Only tasks parked on a predicate or a deadline are re-tested
+// every step.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "causalmem/common/coop.hpp"
@@ -143,7 +149,9 @@ class SimScheduler final : public coop::Parker {
   /// body that needs more faults instead of writing into another stack.
   /// Stack high-water marks over the simulator, scale and sim-driven dsm
   /// suites are 5-6 KB optimised and 11 KB under ASan Debug, and only
-  /// touched pages count toward RSS.
+  /// touched pages count toward RSS. Stacks are reused: run() hands each
+  /// back to a process-wide pool with its pages released (the guard stays),
+  /// and a task's first resume takes one from there before mapping anew.
   static constexpr std::size_t kTaskStackBytes = std::size_t{256} * 1024;
 
   explicit SimScheduler(SimOptions options = {});
@@ -151,7 +159,7 @@ class SimScheduler final : public coop::Parker {
 
   /// Registers a cooperative task (one application workload). Call before
   /// run(). Returns the task index (the `actor` of its step choices). The
-  /// task's stack is mapped when run() first resumes it.
+  /// task gets its stack when run() first resumes it.
   std::uint32_t add_task(std::string name, std::function<void()> body);
 
   /// Registers a timer firing at virtual `due_ns`, then every `period_ns`
@@ -164,7 +172,7 @@ class SimScheduler final : public coop::Parker {
                           std::function<void()> fire) {
     CM_EXPECTS_MSG(!ran_, "add_timer after run()");
     CM_EXPECTS(fire != nullptr);
-    timers_.push_back(Timer{std::move(name), due_ns, period_ns,
+    timers_.push_back(Timer{std::move(name), {}, due_ns, period_ns,
                             std::move(fire), /*done=*/false});
     return static_cast<std::uint32_t>(timers_.size() - 1);
   }
@@ -181,7 +189,7 @@ class SimScheduler final : public coop::Parker {
   /// Executes the simulation to completion under `strategy`, running every
   /// task as a fiber on the calling thread. One run per scheduler instance.
   /// On return no task is parked (an unfinished run unwinds each one) and
-  /// every task stack is unmapped.
+  /// every task stack is back in the pool.
   RunReport run(Strategy& strategy);
 
   [[nodiscard]] std::uint64_t now_ns() const noexcept {
@@ -194,6 +202,9 @@ class SimScheduler final : public coop::Parker {
   /// True only on the thread inside run() while a task's fiber executes:
   /// deliver handlers, timers and threads a task starts see false.
   [[nodiscard]] bool in_task() const noexcept override;
+  /// The running task's index as a token.
+  [[nodiscard]] coop::TaskToken self() const noexcept override;
+  void wake(coop::TaskToken t) override;
 
  private:
   /// One cooperative task: its body, its wait condition while parked, and
@@ -202,6 +213,7 @@ class SimScheduler final : public coop::Parker {
 
   struct Timer {
     std::string name;
+    std::string_view label;  ///< interned `name`, set when run() starts
     std::uint64_t due_ns{0};
     std::uint64_t period_ns{0};
     std::function<void()> fire;
@@ -211,8 +223,9 @@ class SimScheduler final : public coop::Parker {
   /// Thrown into parked tasks when the run aborts; task wrappers swallow it.
   struct TaskAbort {};
 
-  [[nodiscard]] bool task_runnable(const Task& t) const;
-  void collect_choices(std::vector<Choice>* out) const;
+  /// Adds or removes `t`'s step choice in task_choices_.
+  void list_task(Task& t, bool runnable);
+  void collect_choices(std::vector<Choice>* out);
   void execute(const Choice& c, std::size_t idx);
   void resume_task(Task& t);
   static void fiber_entry() noexcept;
@@ -230,6 +243,13 @@ class SimScheduler final : public coop::Parker {
   /// The task whose fiber is executing; nullptr while the scheduler's own
   /// stack runs (between steps, and inside deliver and timer events).
   Task* current_{nullptr};
+  std::size_t unfinished_{0};  ///< tasks not yet finished, during run()
+  /// The step choices of the runnable tasks, in task order, kept current as
+  /// tasks start, park, finish and are woken; a step copies it instead of
+  /// testing every task. Only the tasks in polled_ (parked on a predicate
+  /// or a deadline) are re-tested each step.
+  std::vector<Choice> task_choices_;
+  std::vector<Task*> polled_;
   bool aborting_{false};
   bool ran_{false};
 };

@@ -8,7 +8,9 @@
 // assumes ("reliable, ordered message passing") holds on every schedule
 // while INTER-channel order is fully under the explorer's control. Only
 // channels with queued messages are stored, in an ordered map keyed by
-// from*n+to, so a step costs what is in flight, not n².
+// from*n+to, so a step costs what is in flight, not n². Their deliver
+// choices are kept beside them as channels fill and drain, so offering them
+// is one copy.
 //
 // Crash / partition semantics mirror FaultyTransport so the PR-3 failover
 // path behaves identically under simulation: sends from or to a crashed
@@ -29,6 +31,7 @@
 // at a time, so plain containers are both safe and deterministic here.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -100,7 +103,13 @@ class SimTransport final : public Transport {
       return;
     }
     trace_msg(m.from, obs::TraceEventKind::kSend, m);
-    channels_[m.from * n + m.to].push_back(std::move(m));
+    std::deque<Message>& q = channels_[m.from * n + m.to];
+    if (q.empty()) {
+      deliverable_.insert(deliverable_at(m.from, m.to),
+                          Choice{ChoiceKind::kDeliver, m.from, m.to, 0,
+                                 msg_type_name(m.type)});
+    }
+    q.push_back(std::move(m));
     ++pending_;
   }
 
@@ -110,6 +119,7 @@ class SimTransport final : public Transport {
     // Drop undelivered messages silently: receivers are quiescing, same as
     // InMemTransport::shutdown.
     channels_.clear();
+    deliverable_.clear();
     pending_ = 0;
   }
 
@@ -144,6 +154,8 @@ class SimTransport final : public Transport {
       }
       for (const Message& m : it->second) drop(m);
       pending_ -= it->second.size();
+      deliverable_.erase(deliverable_at(static_cast<NodeId>(it->first / n),
+                                        static_cast<NodeId>(it->first % n)));
       it = channels_.erase(it);
     }
   }
@@ -182,15 +194,7 @@ class SimTransport final : public Transport {
   /// Appends one kDeliver choice per non-empty channel, in (from, to) order,
   /// labelled with the head message's type.
   void append_deliverable(std::vector<Choice>* out) const {
-    const std::size_t n = endpoints_.size();
-    for (const auto& [key, q] : channels_) {
-      Choice c;
-      c.kind = ChoiceKind::kDeliver;
-      c.from = static_cast<NodeId>(key / n);
-      c.to = static_cast<NodeId>(key % n);
-      c.label = msg_type_name(q.front().type);
-      out->push_back(std::move(c));
-    }
+    out->insert(out->end(), deliverable_.begin(), deliverable_.end());
   }
 
   /// Delivers the head of channel from->to inline (handler runs on the
@@ -202,7 +206,13 @@ class SimTransport final : public Transport {
     CM_EXPECTS_MSG(it != channels_.end(), "deliver_one on empty channel");
     Message m = std::move(it->second.front());
     it->second.pop_front();
-    if (it->second.empty()) channels_.erase(it);
+    const auto choice = deliverable_at(from, to);
+    if (it->second.empty()) {
+      channels_.erase(it);
+      deliverable_.erase(choice);
+    } else {
+      choice->label = msg_type_name(it->second.front().type);
+    }
     --pending_;
     trace_msg(m.to, obs::TraceEventKind::kRecv, m);
     endpoints_[m.to](m);
@@ -214,6 +224,15 @@ class SimTransport final : public Transport {
     if (stats_ != nullptr) stats_->node(m.from).bump(Counter::kNetFaultDrop);
     // trace_msg is non-const only through stats_, safe from crash purge.
     trace_msg(m.from, obs::TraceEventKind::kFaultDrop, m);
+  }
+
+  /// deliverable_'s choice for channel from->to, or where it belongs.
+  std::vector<Choice>::iterator deliverable_at(NodeId from, NodeId to) {
+    return std::lower_bound(deliverable_.begin(), deliverable_.end(),
+                            std::pair{from, to},
+                            [](const Choice& c, std::pair<NodeId, NodeId> k) {
+                              return std::pair{c.from, c.to} < k;
+                            });
   }
 
   /// Per directed channel: clock-delta baselines + recycled decode target.
@@ -228,6 +247,9 @@ class SimTransport final : public Transport {
   /// Non-empty channels only, keyed by from*n+to: key order is (from, to)
   /// order, and a channel is erased when its last message leaves.
   std::map<std::size_t, std::deque<Message>> channels_;
+  /// One deliver choice per entry of channels_, in the same order, labelled
+  /// with the channel head's type.
+  std::vector<Choice> deliverable_;
   std::vector<CodecState> codec_;      // n*n when exercising, else 0
   std::vector<std::uint8_t> blocked_;  // n*n, directed
   std::vector<std::uint8_t> crashed_;

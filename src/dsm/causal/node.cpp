@@ -639,9 +639,11 @@ void CausalNode::complete_pending(const Message& m) {
     // rejoin loop. No cache or own-write bookkeeping is involved.
     vt_.update(m.stamp);
     std::promise<Message> prom = std::move(it->second.reply);
+    const coop::TaskToken waiter = it->second.waiter;
     pending_.erase(it);
     lock.unlock();
     prom.set_value(m);
+    coop::wake(waiter);
     return;
   }
 
@@ -726,6 +728,7 @@ void CausalNode::complete_pending(const Message& m) {
   std::promise<Message> prom = std::move(it->second.reply);
   const std::uint64_t op_start_ns = it->second.start_ns;
   const VectorClock serve_snapshot = std::move(it->second.serve_snapshot);
+  const coop::TaskToken waiter = it->second.waiter;
   pending_.erase(it);
 
   // Apply the reply HERE, in the delivery, so the install/sweep is atomic
@@ -835,6 +838,7 @@ void CausalNode::complete_pending(const Message& m) {
 
   lock.unlock();
   prom.set_value(std::move(result));
+  coop::wake(waiter);
 }
 
 // --------------------------------------------------------------------------
@@ -898,12 +902,20 @@ bool CausalNode::await_reply(std::future<Message>& fut, std::uint64_t rid,
     return fut.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
   };
   if (coop::enabled()) {
-    // Simulated run: park until the reply is fulfilled (by complete_pending
-    // on the scheduler thread) or virtual time reaches the deadline — both
-    // conditions advance only under scheduler control.
+    // Simulated run: park until complete_pending fulfils the reply (on the
+    // scheduler thread) and wakes this task, or virtual time reaches the
+    // deadline — both advance only under scheduler control. The reply is
+    // set only by complete_pending, which wakes the recorded waiter, so the
+    // scheduler need not poll the future every step.
+    {
+      std::scoped_lock lock(mu_);
+      if (auto it = pending_.find(rid); it != pending_.end()) {
+        it->second.waiter = coop::self();
+      }
+    }
     while (!ready()) {
       if (deadline_ns != 0 && obs::now_ns() >= deadline_ns) break;
-      coop::park(ready, deadline_ns, "await_reply");
+      coop::park({}, deadline_ns, "await_reply");
     }
     if (ready()) return true;
   } else if (deadline_ns == 0) {

@@ -105,10 +105,8 @@ void run_chaos_script(SystemT& sys, SimScheduler& sched, ChaosState& st,
                       std::uint64_t base_ns) {
   for (const ChaosEvent& ev : events) {
     const std::uint64_t due = base_ns + ev.after_ns;
-    while (sched.now_ns() < due) {
-      coop::park([&sched, due] { return sched.now_ns() >= due; }, due,
-                 "chaos_wait");
-    }
+    // Nothing wakes the chaos task: it runs again when its deadline passes.
+    while (sched.now_ns() < due) coop::park({}, due, "chaos_wait");
     switch (ev.kind) {
       case ChaosEvent::Kind::kCrash:
       case ChaosEvent::Kind::kCrashWithDisk:
@@ -268,8 +266,7 @@ ExecutionResult run_causal_scenario(const CausalScenarioConfig& cfg,
               const std::uint64_t due =
                   base_ns + static_cast<std::uint64_t>(op.value);
               while (sched.now_ns() < due) {
-                coop::park([&sched, due] { return sched.now_ns() >= due; },
-                           due, "script_sleep");
+                coop::park({}, due, "script_sleep");
               }
               continue;
             }

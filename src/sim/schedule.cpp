@@ -1,13 +1,38 @@
 #include "causalmem/sim/schedule.hpp"
 
 #include <fstream>
+#include <limits>
+#include <mutex>
 #include <sstream>
+#include <unordered_set>
 
 namespace causalmem::sim {
 
 namespace {
 constexpr const char* kHeader = "# causalmem-schedule-v1";
+
+/// Reads one id: decimal digits that fit in 32 bits. A leading '-' would
+/// otherwise wrap to a large value, and a 64-bit value would be narrowed.
+bool read_id(std::istringstream& ls, std::uint32_t* out) {
+  ls >> std::ws;
+  if (ls.peek() == '-') return false;
+  std::uint64_t v = 0;
+  if (!(ls >> v) || v > std::numeric_limits<std::uint32_t>::max()) {
+    return false;
+  }
+  *out = static_cast<std::uint32_t>(v);
+  return true;
+}
 }  // namespace
+
+std::string_view intern_label(std::string_view label) {
+  // Node-based, so a stored string never moves when the set rehashes; never
+  // destroyed, so views handed out stay valid through static destruction.
+  static std::mutex mu;
+  static auto* const table = new std::unordered_set<std::string>();
+  std::scoped_lock lock(mu);
+  return *table->emplace(label).first;
+}
 
 const char* choice_kind_name(ChoiceKind k) noexcept {
   switch (k) {
@@ -93,24 +118,22 @@ bool Schedule::parse(const std::string& text, Schedule* out,
     Choice c;
     if (word == "deliver") {
       c.kind = ChoiceKind::kDeliver;
-      std::uint64_t from = 0;
-      std::uint64_t to = 0;
-      if (!(ls >> from >> to)) return fail("deliver needs '<from> <to>'");
-      c.from = static_cast<NodeId>(from);
-      c.to = static_cast<NodeId>(to);
+      if (!read_id(ls, &c.from) || !read_id(ls, &c.to)) {
+        return fail("deliver needs '<from> <to>', each in [0, 2^32 - 1]");
+      }
     } else if (word == "step" || word == "timer") {
       c.kind = word == "step" ? ChoiceKind::kStep : ChoiceKind::kTimer;
-      std::uint64_t actor = 0;
-      if (!(ls >> actor)) return fail(word + " needs '<index>'");
-      c.actor = static_cast<std::uint32_t>(actor);
+      if (!read_id(ls, &c.actor)) {
+        return fail(word + " needs '<index>' in [0, 2^32 - 1]");
+      }
     } else {
       return fail("unknown directive '" + word + "'");
     }
     std::string label;
     std::getline(ls, label);
     if (!label.empty() && label.front() == ' ') label.erase(0, 1);
-    c.label = std::move(label);
-    parsed.steps.push_back(std::move(c));
+    c.label = intern_label(label);
+    parsed.steps.push_back(c);
   }
   if (!saw_header) {
     if (error != nullptr) *error = "empty schedule (no header)";

@@ -4,7 +4,9 @@
 #include <ucontext.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <limits>
+#include <mutex>
 #include <sstream>
 
 #include "causalmem/sim/transport.hpp"
@@ -28,6 +30,7 @@
 #define CAUSALMEM_SIM_TSAN 1
 #endif
 #if defined(CAUSALMEM_SIM_ASAN)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(CAUSALMEM_SIM_TSAN)
@@ -42,12 +45,69 @@ namespace {
 // it first, so threads outside run() never read the scheduler's state.
 thread_local SimScheduler* tl_sched = nullptr;
 
-/// A task's execution context: an mmap'd stack whose lowest page is a
+std::size_t page_bytes() {
+  static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+/// Stacks no task holds, shared by every scheduler in the process (one runs
+/// at a time, but successive ones may run on different threads). Mapping,
+/// guarding and unmapping a stack per task per run cost more than a short
+/// task's work; a pooled stack keeps its mapping and guard page, and only
+/// its pages are given back.
+class StackPool {
+ public:
+  StackPool() = default;
+  StackPool(const StackPool&) = delete;
+  StackPool& operator=(const StackPool&) = delete;
+  ~StackPool() {
+    for (void* map : free_) munmap(map, map_bytes());
+  }
+
+  /// A guard page followed by kTaskStackBytes of stack: pooled if any,
+  /// otherwise freshly mapped.
+  void* take() {
+    {
+      std::scoped_lock lock(mu_);
+      if (!free_.empty()) {
+        void* map = free_.back();
+        free_.pop_back();
+        return map;
+      }
+    }
+    void* map = mmap(nullptr, map_bytes(), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+    CM_ASSERT_MSG(map != MAP_FAILED, "mmap of a task stack failed");
+    const int guarded = mprotect(map, page_bytes(), PROT_NONE);
+    CM_ASSERT_MSG(guarded == 0, "mprotect of a stack guard page failed");
+    return map;
+  }
+
+  /// Takes back a stack no fiber runs on. Its pages are released, so a
+  /// pooled stack costs no memory and reads as zeros when reused.
+  void give_back(void* map) noexcept {
+    (void)madvise(static_cast<char*>(map) + page_bytes(),
+                  SimScheduler::kTaskStackBytes, MADV_DONTNEED);
+    std::scoped_lock lock(mu_);
+    free_.push_back(map);
+  }
+
+ private:
+  static std::size_t map_bytes() {
+    return page_bytes() + SimScheduler::kTaskStackBytes;
+  }
+
+  std::mutex mu_;
+  std::vector<void*> free_;  ///< guarded by mu_
+};
+
+StackPool g_stacks;
+
+/// A task's execution context: a pooled stack whose lowest page is a
 /// PROT_NONE guard (an overflow faults instead of writing into a
 /// neighbour), and the saved registers of both sides of the switch.
 struct Fiber {
-  void* map{nullptr};  ///< guard page + stack; null when not mapped
-  std::size_t map_bytes{0};
+  void* map{nullptr};  ///< guard page + stack; null when the task holds none
   ucontext_t self{};    ///< the task's registers while it is switched out
   ucontext_t caller{};  ///< the scheduler's registers while the task runs
 #if defined(CAUSALMEM_SIM_ASAN)
@@ -60,20 +120,18 @@ struct Fiber {
 #endif
 
   [[nodiscard]] void* stack_lo() const {
-    return static_cast<char*>(map) +
-           (map_bytes - SimScheduler::kTaskStackBytes);
+    return static_cast<char*>(map) + page_bytes();
   }
 };
 
-/// Maps the stack and prepares `f` to run `entry` on its first resume.
+/// Takes a stack and prepares `f` to run `entry` on its first resume.
 void fiber_start(Fiber& f, void (*entry)()) {
-  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-  f.map_bytes = page + SimScheduler::kTaskStackBytes;
-  f.map = mmap(nullptr, f.map_bytes, PROT_READ | PROT_WRITE,
-               MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-  CM_ASSERT_MSG(f.map != MAP_FAILED, "mmap of a task stack failed");
-  const int guarded = mprotect(f.map, page, PROT_NONE);
-  CM_ASSERT_MSG(guarded == 0, "mprotect of a stack guard page failed");
+  f.map = g_stacks.take();
+#if defined(CAUSALMEM_SIM_ASAN)
+  // A fresh mapping has clean shadow; a reused stack may still carry the
+  // redzones of frames its last task left without returning.
+  __asan_unpoison_memory_region(f.stack_lo(), SimScheduler::kTaskStackBytes);
+#endif
   const int got = getcontext(&f.self);
   CM_ASSERT(got == 0);
   f.self.uc_stack.ss_sp = f.stack_lo();
@@ -131,8 +189,8 @@ void fiber_suspend(Fiber& f) {
 #endif
 }
 
-/// Task -> scheduler for the last time; the stack stays mapped (unused)
-/// until fiber_release.
+/// Task -> scheduler for the last time; the task holds its (now unused)
+/// stack until fiber_release.
 [[noreturn]] void fiber_exit(Fiber& f) {
 #if defined(CAUSALMEM_SIM_TSAN)
   __tsan_switch_to_fiber(f.tsan_caller, 0);
@@ -146,14 +204,15 @@ void fiber_suspend(Fiber& f) {
   CM_UNREACHABLE("setcontext returned");
 }
 
-/// Unmaps the stack of a fiber that is not running (or was never started).
+/// Pools the stack of a fiber that is not running (or was never started).
+/// TSan's fiber object is per run: only the memory is reused.
 void fiber_release(Fiber& f) noexcept {
   if (f.map == nullptr) return;
 #if defined(CAUSALMEM_SIM_TSAN)
   __tsan_destroy_fiber(f.tsan_self);
   f.tsan_self = nullptr;
 #endif
-  munmap(f.map, f.map_bytes);
+  g_stacks.give_back(f.map);
   f.map = nullptr;
 }
 
@@ -163,16 +222,34 @@ struct SimScheduler::Task {
   enum class State : std::uint8_t {
     kIdle,      ///< not started: its first step runs the body
     kRunning,   ///< its fiber is executing (the scheduler's stack waits)
-    kParked,    ///< waiting on `ready` / `deadline_ns`
+    kParked,    ///< waiting on `ready` (or a wake) / `deadline_ns`
     kFinished,
   };
-  std::string name;
+  std::string_view label;  ///< interned task name
+  std::uint32_t index{0};  ///< position in tasks_, and its coop token
   std::function<void()> body;
   State state{State::kIdle};
+  /// Wait condition while parked; empty when the task waits to be woken.
   std::function<bool()> ready;
   std::uint64_t deadline_ns{0};
   const char* what{""};
-  Fiber fiber;  ///< mapped on the first resume, released when run() ends
+  /// A wake arrived since the task last resumed; kept until it next
+  /// resumes, so a wake sent before an empty-`ready` park is not lost.
+  bool woken{false};
+  bool listed{false};  ///< has a choice in task_choices_
+  Fiber fiber;  ///< stack taken on the first resume, pooled when run() ends
+
+  /// Parked on a predicate or a deadline: runnable can change without an
+  /// event the scheduler sees, so it is re-tested every step.
+  [[nodiscard]] bool polled() const {
+    return state == State::kParked && (ready || deadline_ns != 0);
+  }
+
+  /// Whether a polled task may run at virtual time `now`.
+  [[nodiscard]] bool runnable_at(std::uint64_t now) const {
+    return (ready ? ready() : woken) ||
+           (deadline_ns != 0 && now >= deadline_ns);
+  }
 };
 
 std::size_t ReplayStrategy::pick(const std::vector<Choice>& choices) {
@@ -201,7 +278,7 @@ SimScheduler::SimScheduler(SimOptions options)
 }
 
 SimScheduler::~SimScheduler() {
-  // run() unwinds every parked task and unmaps every stack before it
+  // run() unwinds every parked task and pools every stack before it
   // returns, so no fiber outlives it: resuming one here could run a task
   // on a thread other than run()'s.
   for (const auto& tp : tasks_) {
@@ -218,14 +295,44 @@ std::uint32_t SimScheduler::add_task(std::string name,
   CM_EXPECTS_MSG(!ran_, "add_task after run()");
   CM_EXPECTS(body != nullptr);
   auto t = std::make_unique<Task>();
-  t->name = std::move(name);
+  t->label = intern_label(name);
+  t->index = static_cast<std::uint32_t>(tasks_.size());
   t->body = std::move(body);
   tasks_.push_back(std::move(t));
-  return static_cast<std::uint32_t>(tasks_.size() - 1);
+  return tasks_.back()->index;
 }
 
 bool SimScheduler::in_task() const noexcept {
   return tl_sched == this && current_ != nullptr;
+}
+
+coop::TaskToken SimScheduler::self() const noexcept {
+  return in_task() ? static_cast<coop::TaskToken>(current_->index)
+                   : coop::kNoTask;
+}
+
+void SimScheduler::wake(coop::TaskToken token) {
+  const auto i = static_cast<std::size_t>(token);
+  CM_ASSERT(i < tasks_.size());
+  Task& t = *tasks_[i];
+  t.woken = true;
+  // A running task sees the kept wake when it parks, and a polled task
+  // when it is re-tested at the next step (a predicate park ignores it).
+  if (t.state == Task::State::kParked && !t.polled()) list_task(t, true);
+}
+
+void SimScheduler::list_task(Task& t, bool runnable) {
+  if (t.listed == runnable) return;
+  t.listed = runnable;
+  const auto at = std::lower_bound(
+      task_choices_.begin(), task_choices_.end(), t.index,
+      [](const Choice& c, std::uint32_t i) { return c.actor < i; });
+  if (runnable) {
+    task_choices_.insert(
+        at, Choice{ChoiceKind::kStep, kNoNode, kNoNode, t.index, t.label});
+  } else {
+    task_choices_.erase(at);
+  }
 }
 
 void SimScheduler::park(const std::function<bool()>& ready,
@@ -236,6 +343,11 @@ void SimScheduler::park(const std::function<bool()>& ready,
   t.ready = ready;
   t.deadline_ns = deadline_ns;
   t.what = what;
+  if (t.polled()) {
+    polled_.push_back(&t);
+  } else {
+    list_task(t, t.woken);
+  }
   fiber_suspend(t.fiber);
   if (aborting_) throw TaskAbort{};
 }
@@ -251,6 +363,8 @@ void SimScheduler::fiber_entry() noexcept {
     // Unwound by abort_tasks; fall through to the final switch.
   }
   t.state = Task::State::kFinished;
+  --tl_sched->unfinished_;
+  tl_sched->list_task(t, false);
   fiber_exit(t.fiber);
 }
 
@@ -258,49 +372,28 @@ void SimScheduler::resume_task(Task& t) {
   CM_ASSERT(t.state == Task::State::kIdle ||
             t.state == Task::State::kParked);
   if (t.state == Task::State::kIdle) fiber_start(t.fiber, &fiber_entry);
+  if (t.polled()) polled_.erase(std::find(polled_.begin(), polled_.end(), &t));
   t.state = Task::State::kRunning;
   t.ready = nullptr;
   t.deadline_ns = 0;
   t.what = "";
+  t.woken = false;
   // The task runs on this thread until it parks or finishes.
   current_ = &t;
   fiber_resume(t.fiber);
   current_ = nullptr;
 }
 
-bool SimScheduler::task_runnable(const Task& t) const {
-  switch (t.state) {
-    case Task::State::kIdle:
-      return true;  // its first step starts the body
-    case Task::State::kParked:
-      if (t.ready && t.ready()) return true;
-      return t.deadline_ns != 0 && clock_.now_ns() >= t.deadline_ns;
-    case Task::State::kRunning:
-    case Task::State::kFinished:
-      return false;
-  }
-  return false;
-}
-
-void SimScheduler::collect_choices(std::vector<Choice>* out) const {
+void SimScheduler::collect_choices(std::vector<Choice>* out) {
   if (transport_ != nullptr) transport_->append_deliverable(out);
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    if (!task_runnable(*tasks_[i])) continue;
-    Choice c;
-    c.kind = ChoiceKind::kStep;
-    c.actor = static_cast<std::uint32_t>(i);
-    c.label = tasks_[i]->name;
-    out->push_back(std::move(c));
-  }
   const std::uint64_t now = clock_.now_ns();
+  for (Task* t : polled_) list_task(*t, t->runnable_at(now));
+  out->insert(out->end(), task_choices_.begin(), task_choices_.end());
   for (std::size_t i = 0; i < timers_.size(); ++i) {
     const Timer& tm = timers_[i];
     if (tm.done || tm.due_ns > now) continue;
-    Choice c;
-    c.kind = ChoiceKind::kTimer;
-    c.actor = static_cast<std::uint32_t>(i);
-    c.label = tm.name;
-    out->push_back(std::move(c));
+    out->push_back(Choice{ChoiceKind::kTimer, kNoNode, kNoNode,
+                          static_cast<std::uint32_t>(i), tm.label});
   }
 }
 
@@ -338,7 +431,7 @@ std::string SimScheduler::deadlock_diagnosis() const {
   for (const auto& tp : tasks_) {
     const Task& t = *tp;
     if (t.state == Task::State::kFinished) continue;
-    os << " [task '" << t.name << "' ";
+    os << " [task '" << t.label << "' ";
     if (t.state == Task::State::kIdle) {
       os << "not started";
     } else {
@@ -371,20 +464,18 @@ RunReport SimScheduler::run(Strategy& strategy) {
   CM_EXPECTS_MSG(!ran_, "SimScheduler::run is single-use");
   ran_ = true;
   tl_sched = this;
+  unfinished_ = tasks_.size();
+  for (auto& tp : tasks_) list_task(*tp, true);  // idle: a step starts it
+  // Interned here rather than in the inline add_timer, which must not need
+  // a sim-library symbol.
+  for (Timer& tm : timers_) tm.label = intern_label(tm.name);
   RunReport rep;
   std::vector<Choice> choices;
   for (;;) {
-    bool all_finished = true;
-    for (const auto& tp : tasks_) {
-      if (tp->state != Task::State::kFinished) {
-        all_finished = false;
-        break;
-      }
-    }
     const std::size_t pending =
         transport_ != nullptr ? transport_->pending_count() : 0;
     // Timers are infrastructure (heartbeats): they do not keep a run alive.
-    if (all_finished && pending == 0) {
+    if (unfinished_ == 0 && pending == 0) {
       rep.completed = true;
       break;
     }

@@ -7,9 +7,17 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 
+#include "causalmem/common/rng.hpp"
 #include "causalmem/sim/scenarios.hpp"
+
+#ifndef CAUSALMEM_SCHEDULE_DIR
+#define CAUSALMEM_SCHEDULE_DIR "tests/sim/schedules"
+#endif
 
 namespace causalmem::sim {
 namespace {
@@ -136,6 +144,76 @@ TEST(Determinism, PartitionScheduleBitIdenticalAcrossReruns) {
   const Observation b = observe_causal(cfg, 9);
   EXPECT_TRUE(a.result.consistent) << a.result.violation;
   expect_identical(a, b, 9);
+}
+
+/// The sim_256 benchmark's configuration at 64 nodes: hash-ring ownership,
+/// copysets and push invalidation, online checking, groups of 4 nodes
+/// sharing 4 addresses, 2 ops per node, half of them writes.
+CausalScenarioConfig sharded_walk_config() {
+  constexpr std::size_t kNodes = 64;
+  constexpr std::size_t kGroup = 4;
+  constexpr Addr kAddrsPerGroup = 4;
+  CausalScenarioConfig cfg;
+  cfg.nodes = kNodes;
+  cfg.sharding = true;
+  cfg.config.copysets = true;
+  cfg.config.push_invalidation = true;
+  cfg.trace = false;
+  cfg.online_check = true;
+  cfg.scripts.resize(kNodes);
+  Rng rng(64);
+  for (NodeId p = 0; p < kNodes; ++p) {
+    const Addr base = static_cast<Addr>(p / kGroup) * kAddrsPerGroup;
+    for (std::size_t i = 0; i < 2; ++i) {
+      const Addr a = base + rng.next_below(kAddrsPerGroup);
+      if (rng.next_below(100) < 50) {
+        cfg.scripts[p].push_back(ScriptOp::write(a, p * 2 + i + 1));
+      } else {
+        cfg.scripts[p].push_back(ScriptOp::read(a));
+      }
+    }
+  }
+  return cfg;
+}
+
+/// Every other Determinism test compares two runs of one binary, so a
+/// change that reordered or relabelled the choices a step offers would pass
+/// them all while silently changing every seeded walk. This one pins a
+/// random walk's full choice sequence to a committed artifact (re-recorded
+/// in place with CAUSALMEM_REGEN_SCHEDULES=1, like the shard chaos pins).
+TEST(Determinism, RandomWalkMatchesCommittedSchedule) {
+  const std::string path =
+      std::string(CAUSALMEM_SCHEDULE_DIR) + "/random_walk_n64.schedule";
+  RandomWalkStrategy walk(1);
+  const ExecutionResult res = run_causal_scenario(sharded_walk_config(), walk);
+  ASSERT_TRUE(res.report.ok()) << res.report.error;
+  ASSERT_TRUE(res.consistent) << res.violation;
+  const std::string text = res.report.schedule.to_text();
+  if (std::getenv("CAUSALMEM_REGEN_SCHEDULES") != nullptr) {
+    std::string err;
+    ASSERT_TRUE(res.report.schedule.save(path, &err)) << err;
+    GTEST_LOG_(INFO) << "re-recorded " << path << " ("
+                     << res.report.schedule.steps.size() << " steps)";
+    return;
+  }
+  std::ifstream f(path);
+  ASSERT_TRUE(f) << "cannot open " << path
+                 << " (regenerate with CAUSALMEM_REGEN_SCHEDULES=1)";
+  std::ostringstream committed;
+  committed << f.rdbuf();
+  // Report the first differing line rather than two 500-line strings.
+  std::istringstream want(committed.str());
+  std::istringstream got(text);
+  std::string want_line;
+  std::string got_line;
+  for (std::size_t line = 1;; ++line) {
+    const bool more_want = static_cast<bool>(std::getline(want, want_line));
+    const bool more_got = static_cast<bool>(std::getline(got, got_line));
+    if (!more_want && !more_got) break;
+    ASSERT_EQ(more_want ? want_line : "<end>", more_got ? got_line : "<end>")
+        << path << " line " << line;
+  }
+  EXPECT_EQ(text, committed.str());
 }
 
 }  // namespace

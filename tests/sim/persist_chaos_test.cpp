@@ -161,5 +161,64 @@ TEST(PersistChaos, MediaLossLosesWhatTheSyncedDiskKeeps) {
   EXPECT_EQ(final_read_of_addr2(a), kInitialValue) << a.outcome.history_text;
 }
 
+/// The virtual-clock twin of the real-time
+/// DurableRecovery.LostDiskEpochReElectsInsteadOfRollingBack: node 1 reads
+/// node 0's write of 9, node 0 then crashes losing its disk and restarts
+/// with nothing durable. It must win an election for address 0 (which node
+/// 1's journal decides in favour of 9) instead of serving the initial value.
+///   t=0       P0 writes 9 to address 0, which it owns.
+///   t=1 ms    P1 reads address 0.
+///   t=2 ms    node 0 crashes and loses its disk.
+///   t=3 ms    node 0 restarts from its empty disk.
+///   t=5 ms    both read address 0 again.
+CausalScenarioConfig lost_disk_epoch_config() {
+  CausalScenarioConfig cfg;
+  cfg.nodes = 2;
+  cfg.failover = true;
+  cfg.persist = true;
+  cfg.config.request_timeout = std::chrono::microseconds(200);
+  cfg.config.request_retries = 2;
+  cfg.scripts = {
+      {ScriptOp::write(0, 9), ScriptOp::sleep_until(5'000'000),
+       ScriptOp::read(0)},
+      {ScriptOp::sleep_until(1'000'000), ScriptOp::read(0),
+       ScriptOp::sleep_until(5'000'000), ScriptOp::read(0)},
+  };
+  cfg.chaos = {
+      ChaosEvent::crash_losing_disk(2'000'000, 0),
+      ChaosEvent::recover_from_disk(3'000'000, 0),
+  };
+  return cfg;
+}
+
+TEST(PersistChaos, LostDiskEpochReElectsInsteadOfRollingBackInVirtualTime) {
+  const CausalScenarioConfig cfg = lost_disk_epoch_config();
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    const Observation a = observe(cfg, seed);
+    ASSERT_TRUE(a.result.report.ok()) << "seed " << seed << ": "
+                                      << a.result.report.error;
+    EXPECT_TRUE(a.result.consistent) << "seed " << seed << ": "
+                                     << a.result.violation;
+    // Once node 1 has read address 0, no read anywhere may return an older
+    // value than 9.
+    const auto& p0 = a.outcome.history.per_process[0];
+    const auto& p1 = a.outcome.history.per_process[1];
+    ASSERT_EQ(p0.size(), 2u) << "seed " << seed;
+    ASSERT_EQ(p1.size(), 2u) << "seed " << seed;
+    EXPECT_EQ(p1[0].value, 9) << "seed " << seed << "\n"
+                              << a.outcome.history_text;
+    EXPECT_EQ(p1[1].value, 9) << "seed " << seed << "\n"
+                              << a.outcome.history_text;
+    EXPECT_EQ(p0[1].value, 9) << "seed " << seed << "\n"
+                              << a.outcome.history_text;
+    const StatsSnapshot& stats = a.outcome.totals;
+    EXPECT_EQ(stats[Counter::kPersistRestoredCells], 0u) << "seed " << seed;
+    // Nothing durable to seed the election with: the RECOVER poll ran, and
+    // node 1's journal answered it with a copy.
+    EXPECT_GE(stats[Counter::kFoRecoverRequest], 1u) << "seed " << seed;
+    EXPECT_GE(stats[Counter::kFoRecoverCopy], 1u) << "seed " << seed;
+  }
+}
+
 }  // namespace
 }  // namespace causalmem::sim

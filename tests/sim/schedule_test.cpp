@@ -71,6 +71,29 @@ TEST(Schedule, ParseRejectsTruncatedDeliver) {
   EXPECT_NE(err.find("deliver"), std::string::npos) << err;
 }
 
+TEST(Schedule, ParseRejectsOutOfRangeIds) {
+  // Narrowed or wrapped, the first three would read as other valid ids
+  // (deliver 1 0, deliver 4294967295 0, step 0): a corrupt file would
+  // replay a different execution instead of failing.
+  for (const char* line :
+       {"deliver 4294967297 0", "deliver -1 0", "step 4294967296",
+        "deliver 0 -5", "timer -0"}) {
+    Schedule out;
+    std::string err;
+    EXPECT_FALSE(Schedule::parse(
+        std::string("# causalmem-schedule-v1\nstep 0\n") + line + "\n", &out,
+        &err))
+        << line;
+    EXPECT_NE(err.find("line 3"), std::string::npos) << line << ": " << err;
+  }
+  Schedule out;
+  std::string err;
+  ASSERT_TRUE(Schedule::parse(
+      "# causalmem-schedule-v1\ndeliver 4294967295 0\n", &out, &err))
+      << err;
+  EXPECT_EQ(out.steps[0].from, kNoNode);
+}
+
 TEST(Schedule, ParseSkipsCommentsAndBlanks) {
   Schedule out;
   std::string err;

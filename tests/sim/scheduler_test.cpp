@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -132,6 +133,183 @@ TEST(SimScheduler, ReportsDeadlockWithDiagnosis) {
   EXPECT_TRUE(r.deadlocked);
   EXPECT_NE(r.error.find("loner"), std::string::npos) << r.error;
   EXPECT_NE(r.error.find("never"), std::string::npos) << r.error;
+}
+
+/// Replays `script` (then takes the first choice) and records every choice
+/// list it is offered.
+class RecordingReplay final : public Strategy {
+ public:
+  explicit RecordingReplay(std::vector<Choice> script)
+      : replay_(Schedule{{}, std::move(script)}) {}
+
+  std::size_t pick(const std::vector<Choice>& choices) override {
+    seen.push_back(choices);
+    return replay_.pick(choices);
+  }
+  [[nodiscard]] std::string error_message() const override {
+    return replay_.error_message();
+  }
+
+  std::vector<std::vector<Choice>> seen;
+
+ private:
+  ReplayStrategy replay_;
+};
+
+Choice step(std::uint32_t task) {
+  return Choice{ChoiceKind::kStep, kNoNode, kNoNode, task, ""};
+}
+
+Choice deliver(NodeId from, NodeId to) {
+  return Choice{ChoiceKind::kDeliver, from, to, 0, ""};
+}
+
+std::vector<std::uint32_t> step_actors(const std::vector<Choice>& choices) {
+  std::vector<std::uint32_t> out;
+  for (const Choice& c : choices) {
+    if (c.kind == ChoiceKind::kStep) out.push_back(c.actor);
+  }
+  return out;
+}
+
+TEST(SimScheduler, WokenParkIsRunnableOnlyAfterItsWake) {
+  SimScheduler sched;
+  SimTransport net(2, &sched);
+  coop::TaskToken waiter = coop::kNoTask;
+  bool done = false;
+  net.register_node(0, [](const Message&) {});
+  net.register_node(1, [&](const Message&) { coop::wake(waiter); });
+  net.start();
+  const auto spinner = [&done] {
+    while (!done) coop::yield();
+  };
+  sched.add_task("a", spinner);
+  sched.add_task("waiter", [&] {
+    waiter = coop::self();
+    Message m;
+    m.type = MsgType::kRead;
+    m.from = 0;
+    m.to = 1;
+    net.send(std::move(m));
+    coop::park({}, 0, "reply");
+    done = true;
+  });
+  sched.add_task("c", spinner);
+  RecordingReplay strategy({step(1), deliver(0, 1), step(1)});
+  const RunReport r = sched.run(strategy);
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(waiter, coop::TaskToken{1});
+  ASSERT_GE(strategy.seen.size(), 3u);
+  // Parked and not yet woken: absent, although nothing polls it.
+  EXPECT_EQ(step_actors(strategy.seen[1]), (std::vector<std::uint32_t>{0, 2}));
+  EXPECT_EQ(strategy.seen[1].front().kind, ChoiceKind::kDeliver);
+  // The delivery woke it: back at its task-index position.
+  EXPECT_EQ(step_actors(strategy.seen[2]),
+            (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(strategy.seen[2][1].label, "waiter");
+}
+
+TEST(SimScheduler, WakeBeforeParkIsKept) {
+  SimScheduler sched;
+  std::uint64_t second_park_returned_at = 0;
+  const std::uint64_t deadline = sched.now_ns() + 50'000;
+  sched.add_task("t", [&] {
+    // As if the task completed its own reply before parking on it.
+    coop::wake(coop::self());
+    coop::park({}, 0, "reply");
+    // The kept wake was spent on that park: this one waits out its
+    // deadline.
+    coop::park({}, deadline, "sleep");
+    second_park_returned_at = obs::now_ns();
+  });
+  FirstChoiceStrategy first;
+  const RunReport r = sched.run(first);
+  EXPECT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(r.steps, 3u);
+  EXPECT_GE(second_park_returned_at, deadline);
+}
+
+TEST(SimScheduler, WokenParkHonoursItsDeadline) {
+  SimScheduler sched;
+  const std::uint64_t deadline = sched.now_ns() + 700'000;
+  int parks = 0;
+  std::uint64_t woke_at = 0;
+  sched.add_task("sleeper", [&] {
+    while (obs::now_ns() < deadline) {
+      ++parks;
+      coop::park({}, deadline, "sleep");
+    }
+    woke_at = obs::now_ns();
+  });
+  FirstChoiceStrategy first;
+  const RunReport r = sched.run(first);
+  EXPECT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(parks, 1);
+  EXPECT_GE(woke_at, deadline);
+}
+
+TEST(SimScheduler, WakeDoesNotReleaseAPredicatePark) {
+  SimScheduler sched;
+  SimTransport net(2, &sched);
+  coop::TaskToken waiter = coop::kNoTask;
+  bool flag = false;
+  std::vector<bool> flag_at_resume;
+  net.register_node(0, [](const Message&) {});
+  net.register_node(1, [&](const Message&) { coop::wake(waiter); });
+  net.start();
+  sched.add_task("waiter", [&] {
+    waiter = coop::self();
+    Message m;
+    m.type = MsgType::kRead;
+    m.from = 0;
+    m.to = 1;
+    net.send(std::move(m));
+    coop::park([&flag] { return flag; }, 0, "flag");
+    flag_at_resume.push_back(flag);
+  });
+  sched.add_task("setter", [&] {
+    coop::park([&net] { return net.delivered_count() != 0; }, 0, "woken");
+    flag = true;
+  });
+  FirstChoiceStrategy first;  // steps the waiter, delivers, then the setter
+  const RunReport r = sched.run(first);
+  EXPECT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(flag_at_resume, (std::vector<bool>{true}));
+}
+
+TEST(SimScheduler, PredicateParkIsRetestedEveryStep) {
+  // A predicate can turn false again before its task is picked (a crashed
+  // node's wait, say): the task must then leave the choices again.
+  SimScheduler sched;
+  bool flag = false;
+  sched.add_task("waiter", [&flag] {
+    coop::park([&flag] { return flag; }, 0, "flag");
+  });
+  sched.add_task("toggler", [&flag] {
+    flag = true;
+    coop::yield();
+    flag = false;
+    coop::yield();
+    flag = true;
+  });
+  RecordingReplay script({step(0), step(1), step(1), step(1), step(0)});
+  const RunReport r = sched.run(script);
+  ASSERT_TRUE(r.ok()) << r.error;
+  ASSERT_EQ(script.seen.size(), 5u);
+  EXPECT_EQ(step_actors(script.seen[1]), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(step_actors(script.seen[2]), (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(step_actors(script.seen[3]), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(step_actors(script.seen[4]), (std::vector<std::uint32_t>{0}));
+}
+
+TEST(SimScheduler, NeverWokenParkIsDiagnosedAsDeadlock) {
+  SimScheduler sched;
+  sched.add_task("forgotten", [] { coop::park({}, 0, "lost_reply"); });
+  FirstChoiceStrategy first;
+  const RunReport r = sched.run(first);
+  EXPECT_TRUE(r.deadlocked);
+  EXPECT_NE(r.error.find("forgotten"), std::string::npos) << r.error;
+  EXPECT_NE(r.error.find("lost_reply"), std::string::npos) << r.error;
 }
 
 TEST(SimScheduler, MaxStepsCatchesLivelock) {
@@ -388,7 +566,17 @@ int park_deep(char tag, int depth, DeepState& st,
   return intact + (checksum(frame.data(), frame.size()) == sum ? 1 : 0);
 }
 
-TEST(SimScheduler, DeepStacksKeepTheirLocalsAcrossInterleavedParks) {
+/// Where the two tasks of run_deep_pair ran: the frame address of each
+/// body, which lies on the task's real stack even when a sanitizer moves
+/// escaping locals to a side allocation.
+struct DeepRun {
+  std::uintptr_t top_a{0};
+  std::uintptr_t top_b{0};
+};
+
+/// Runs two tasks that each recurse 64 KiB deep with interleaved parks and
+/// checks that every frame kept its bytes.
+DeepRun run_deep_pair() {
   constexpr int kFrames = 64;  // 64 KiB of locals per task
   SimScheduler sched;
   DeepState st;
@@ -396,21 +584,24 @@ TEST(SimScheduler, DeepStacksKeepTheirLocalsAcrossInterleavedParks) {
   std::vector<const std::uint8_t*> frames_b;
   int intact_a = -1;
   int intact_b = -1;
+  DeepRun where;
   sched.add_task("a", [&] {
+    where.top_a = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
     intact_a = park_deep('a', kFrames - 1, st, frames_a);
   });
   sched.add_task("b", [&] {
+    where.top_b = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
     intact_b = park_deep('b', kFrames - 1, st, frames_b);
   });
   RoundRobinStrategy rr;
   const RunReport r = sched.run(rr);
-  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(intact_a, kFrames);
   EXPECT_EQ(intact_b, kFrames);
   // Each task parked at its bottom while the other reached its own, and
   // the two unwound alternately.
   EXPECT_EQ(st.seen_at_bottom, (std::vector<int>{2, 2}));
-  ASSERT_EQ(st.order.size(), 2u * kFrames);
+  EXPECT_EQ(st.order.size(), 2u * kFrames);
   EXPECT_EQ(st.order.substr(0, 4), "abab");
   // The stacks are disjoint, and each spans at least 64 KiB.
   const auto span = [](const std::vector<const std::uint8_t*>& f) {
@@ -422,6 +613,40 @@ TEST(SimScheduler, DeepStacksKeepTheirLocalsAcrossInterleavedParks) {
   EXPECT_GE(hi_a - lo_a, kFrames * 1024);
   EXPECT_GE(hi_b - lo_b, kFrames * 1024);
   EXPECT_TRUE(hi_a <= lo_b || hi_b <= lo_a);
+  return where;
+}
+
+TEST(SimScheduler, DeepStacksKeepTheirLocalsAcrossInterleavedParks) {
+  (void)run_deep_pair();
+}
+
+/// -1 when the page holding `addr` is not mapped, else 1 if it is resident
+/// and 0 if not.
+int page_state(std::uintptr_t addr) {
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  unsigned char resident = 0;
+  if (mincore(reinterpret_cast<void*>(addr & ~(page - 1)), page, &resident) !=
+      0) {
+    return -1;
+  }
+  return resident & 1;
+}
+
+TEST(SimScheduler, ConsecutiveRunsReuseTaskStacks) {
+  const DeepRun first = run_deep_pair();
+  // Between runs the stacks stay mapped in the pool, their pages released.
+  EXPECT_EQ(page_state(first.top_a), 0);
+  EXPECT_EQ(page_state(first.top_b), 0);
+  // The next run's tasks take them back (the pool is last in, first out)
+  // and keep 64 KiB of locals intact on them.
+  const DeepRun second = run_deep_pair();
+  const auto near = [](std::uintptr_t x, std::uintptr_t y) {
+    return (x > y ? x - y : y - x) < 4096;
+  };
+  EXPECT_TRUE(near(second.top_a, first.top_b)) << std::hex << second.top_a
+                                               << " vs " << first.top_b;
+  EXPECT_TRUE(near(second.top_b, first.top_a)) << std::hex << second.top_b
+                                               << " vs " << first.top_a;
 }
 
 // State of the overflow death test, read by its SIGSEGV handler.
