@@ -12,7 +12,7 @@
 // snapshot (bench/BENCH_10.json), not on noisy rates. Wall-clock sim
 // throughput is reported for trend-watching only.
 //
-// Every cell's history is also fed through the consistency hierarchy; an
+// Every cell's history is also checked with check_consistency(); an
 // inconsistent execution exits non-zero (a benchmark that got faster by
 // dropping safety is not faster).
 #include <chrono>

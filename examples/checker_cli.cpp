@@ -1,12 +1,14 @@
-// checker_cli — check a hand-written execution against the consistency
-// hierarchy (sequential, causal, PRAM, slow memory), and print the causal
+// checker_cli — check a hand-written execution against sequential
+// consistency, causal memory, PRAM and slow memory, and print the causal
 // live set (the paper's alpha) for every read.
 //
 // Modes:
 //
 //   checker_cli [trace-file]
-//       Brute-force hierarchy over a complete trace (stdin when no file).
-//       Exact diagnoses and per-read live sets; fine up to ~10^3 ops.
+//       Batch mode over a complete trace (stdin when no file): the brute
+//       Definition-1 oracle, the SC and PRAM searches and the slow-memory
+//       checker. Exact diagnoses and per-read live sets; fine up to ~10^3
+//       ops.
 //
 //   checker_cli --streaming [--procs N] [trace-file]
 //       Incremental mode: each line is fed to the StreamingCausalChecker as
@@ -26,7 +28,7 @@
 //   checker_cli --schedule <scenario> <schedule-file>
 //       Replays a `# causalmem-schedule-v1` artifact (written by
 //       sim_explore / failing sim tests) with the online streaming checker
-//       riding the run; the post-hoc hierarchy cross-checks it.
+//       riding the run; the post-hoc check_consistency cross-checks it.
 //       Scenarios: causal | broadcast | broadcast-ungated.
 //
 // Trace input: one operation per line (see include/causalmem/history/trace.hpp):
@@ -282,7 +284,7 @@ int run_schedule(const std::string& scenario, const char* path) {
     return 1;
   }
   std::printf("schedule is checker-clean (online streaming checker agrees "
-              "with the post-hoc hierarchy)\n");
+              "with the post-hoc check_consistency)\n");
   return 0;
 }
 

@@ -1,69 +1,36 @@
-// One-call consistency verdict over the whole checker hierarchy
-// (sequential => causal => PRAM => slow). The simulation explorer feeds
-// every executed schedule's history through this: causal memory is the
-// contract under test, and the weaker models are checked too because a
-// schedule that breaks PRAM or slow memory while passing the causal checker
-// would mean a checker bug, not a protocol bug — worth failing loudly.
+// The one verdict on a recorded execution. check_consistency runs the
+// streaming causal checker (the paper's Definition 1/2, recognised through
+// the bad patterns of Bouajjani et al.) and then the slow-memory checker as
+// an independent second opinion: causal memory implies slow memory, so a
+// history the causal checker accepts and the slow checker rejects is a
+// checker bug, not a protocol bug — worth failing loudly. Both checkers are
+// linear in the history, so the same call serves a six-op explorer schedule
+// and a 10^5-op property run.
+//
+// The brute-force CausalChecker oracle (causal_checker.hpp) and the
+// exponential PRAM search (model_checkers.hpp) are not part of this verdict;
+// tests that need them call them by name. docs/CHECKING.md lists where they
+// still run and why.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 #include "causalmem/history/history.hpp"
-#include "causalmem/history/streaming_checker.hpp"
 
 namespace causalmem {
 
 struct ConsistencyReport {
   bool causal{true};
-  bool pram{true};
   bool slow{true};
-  /// False when the bounded PRAM search ran out of states (kUndecided);
-  /// `pram` stays true in that case — undecided is not a violation.
-  bool pram_decided{true};
   /// Diagnosis of the first failed check ("" when ok()).
   std::string reason;
 
-  [[nodiscard]] bool ok() const noexcept { return causal && pram && slow; }
+  [[nodiscard]] bool ok() const noexcept { return causal && slow; }
 };
 
-/// Runs the causal, PRAM and slow-memory checkers over `history`.
-/// `pram_max_states` bounds the per-reader PRAM state search.
-[[nodiscard]] ConsistencyReport check_consistency_hierarchy(
-    const History& history, std::size_t pram_max_states = 1'000'000);
-
-struct StreamingHierarchyOptions {
-  std::size_t pram_max_states{1'000'000};
-  /// The bounded PRAM search is super-linear in the history; above this many
-  /// total ops it is skipped — `pram` stays true, `pram_decided` turns
-  /// false, matching the existing "undecided is not a violation" contract.
-  std::size_t pram_op_limit{20'000};
-  /// The PRAM search interleaves ALL processes' writes per reader, so it is
-  /// also exponential in process count — and merely *reaching* the
-  /// pram_max_states bound costs tens of seconds at 32 processes. Above this
-  /// many processes PRAM is skipped the same way (`pram_decided` false).
-  std::size_t pram_proc_limit{12};
-  StreamingOptions checker{};
-};
-
-/// Same verdict contract as check_consistency_hierarchy, with the causal
-/// stage served by StreamingCausalChecker (linear in the history) instead
-/// of the brute-force Definition-1 oracle — this is what makes 10^5–10^6-op
-/// histories checkable. The slow-memory stage is linear and always runs;
-/// PRAM runs below `pram_op_limit`. docs/CHECKING.md derives why the
-/// streaming causal verdict agrees with the brute-force one.
-[[nodiscard]] ConsistencyReport check_consistency_hierarchy_streaming(
-    const History& history, const StreamingHierarchyOptions& options = {});
-
-/// Brute-force hierarchy below `streaming_from` total ops (byte-identical
-/// diagnoses for existing small scopes, which the sim determinism suite
-/// relies on), streaming hierarchy at or above it. Histories with
-/// `streaming_procs_from` or more processes always take the streaming
-/// hierarchy regardless of op count: the brute checkers explode in process
-/// count, not just op count — a 64-node sharded run of only ~1500 ops never
-/// finishes under the brute PRAM search.
-[[nodiscard]] ConsistencyReport check_consistency_hierarchy_auto(
-    const History& history, std::size_t streaming_from = 4096,
-    std::size_t streaming_procs_from = 12);
+/// Runs the streaming causal checker over `history` and, when it accepts,
+/// the slow-memory checker. A causal violation already decides the report,
+/// so `slow` stays true in that case.
+[[nodiscard]] ConsistencyReport check_consistency(const History& history);
 
 }  // namespace causalmem

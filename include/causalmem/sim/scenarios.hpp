@@ -1,8 +1,8 @@
 // Canned model-checking scenarios: small scripted workloads packaged as
 // explorer RunFns. Each run builds a fresh SimScheduler + DsmSystem +
 // Recorder, executes the per-process scripts as cooperative tasks (one
-// scheduler choice point per operation), feeds the recorded history through
-// the consistency-checker hierarchy, and reports the verdict.
+// scheduler choice point per operation), checks the recorded history with
+// check_consistency(), and reports the verdict.
 //
 // The two bundled small-scope configs are the harness's ground truth:
 //   small_scope_causal()          — the Fig. 4 owner protocol on the classic
@@ -27,7 +27,6 @@
 #include "causalmem/common/types.hpp"
 #include "causalmem/dsm/broadcast/node.hpp"
 #include "causalmem/dsm/causal/config.hpp"
-#include "causalmem/history/consistency.hpp"
 #include "causalmem/history/history.hpp"
 #include "causalmem/sim/explorer.hpp"
 #include "causalmem/sim/scheduler.hpp"
@@ -146,7 +145,8 @@ struct CausalScenarioConfig {
   /// there before the system is torn down.
   std::string flight_dir;
   /// Also chain an OnlineChecker (streaming causal check during the run, in
-  /// addition to the post-hoc hierarchy verdict); see docs/CHECKING.md.
+  /// addition to the post-hoc check_consistency verdict); see
+  /// docs/CHECKING.md.
   bool online_check{false};
 };
 
@@ -169,7 +169,6 @@ struct BroadcastScenarioConfig {
 /// of the same strategy.
 struct ScenarioOutcome {
   History history;
-  ConsistencyReport consistency;
   std::string history_text;   ///< per-process op listing
   std::string trace_text;     ///< merged trace stream, one event per line
   std::string counters_text;  ///< every counter of every node, incl. zeros

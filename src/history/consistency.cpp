@@ -1,7 +1,7 @@
 #include "causalmem/history/consistency.hpp"
 
-#include "causalmem/history/causal_checker.hpp"
 #include "causalmem/history/model_checkers.hpp"
+#include "causalmem/history/streaming_checker.hpp"
 
 namespace causalmem {
 
@@ -15,38 +15,9 @@ std::string describe(const History& h, OpRef ref, const std::string& reason) {
 }
 }  // namespace
 
-ConsistencyReport check_consistency_hierarchy(const History& history,
-                                              std::size_t pram_max_states) {
+ConsistencyReport check_consistency(const History& history) {
   ConsistencyReport rep;
-  if (auto v = CausalChecker(history).check()) {
-    rep.causal = false;
-    rep.reason = "causal violation: " + describe(history, v->read, v->reason);
-    return rep;
-  }
-  if (auto v = check_slow_consistency(history)) {
-    rep.slow = false;
-    rep.reason = "slow-memory violation: " +
-                 describe(history, v->read, v->reason);
-    return rep;
-  }
-  switch (check_pram_consistency(history, pram_max_states)) {
-    case ScResult::kConsistent:
-      break;
-    case ScResult::kInconsistent:
-      rep.pram = false;
-      rep.reason = "PRAM violation (no per-reader serialization exists)";
-      break;
-    case ScResult::kUndecided:
-      rep.pram_decided = false;
-      break;
-  }
-  return rep;
-}
-
-ConsistencyReport check_consistency_hierarchy_streaming(
-    const History& history, const StreamingHierarchyOptions& options) {
-  ConsistencyReport rep;
-  const auto res = StreamingCausalChecker::check(history, options.checker);
+  const auto res = StreamingCausalChecker::check(history);
   if (!res.causal) {
     rep.causal = false;
     rep.reason = "causal violation: " +
@@ -57,35 +28,8 @@ ConsistencyReport check_consistency_hierarchy_streaming(
     rep.slow = false;
     rep.reason =
         "slow-memory violation: " + describe(history, v->read, v->reason);
-    return rep;
-  }
-  if (history.total_ops() > options.pram_op_limit ||
-      history.process_count() > options.pram_proc_limit) {
-    rep.pram_decided = false;
-    return rep;
-  }
-  switch (check_pram_consistency(history, options.pram_max_states)) {
-    case ScResult::kConsistent:
-      break;
-    case ScResult::kInconsistent:
-      rep.pram = false;
-      rep.reason = "PRAM violation (no per-reader serialization exists)";
-      break;
-    case ScResult::kUndecided:
-      rep.pram_decided = false;
-      break;
   }
   return rep;
-}
-
-ConsistencyReport check_consistency_hierarchy_auto(
-    const History& history, std::size_t streaming_from,
-    std::size_t streaming_procs_from) {
-  if (history.total_ops() < streaming_from &&
-      history.process_count() < streaming_procs_from) {
-    return check_consistency_hierarchy(history);
-  }
-  return check_consistency_hierarchy_streaming(history);
 }
 
 }  // namespace causalmem

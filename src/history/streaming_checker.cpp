@@ -40,8 +40,8 @@ ViolationClass classify_causal_reason(std::string_view reason) {
   if (reason.find("causal future") != std::string_view::npos) {
     return ViolationClass::kFuture;
   }
-  // "stale read ...: its write was overwritten" and the hierarchy-prefixed
-  // forms all land here; stale is also the safe default for unknown text.
+  // "stale read ...: its write was overwritten" and check_consistency's
+  // prefixed forms all land here; stale is also the safe default.
   return ViolationClass::kStale;
 }
 

@@ -10,7 +10,7 @@
 #include "causalmem/dsm/broadcast/node.hpp"
 #include "causalmem/dsm/causal/node.hpp"
 #include "causalmem/dsm/system.hpp"
-#include "causalmem/history/causal_checker.hpp"
+#include "causalmem/history/consistency.hpp"
 #include "causalmem/history/recorder.hpp"
 
 namespace causalmem {
@@ -123,8 +123,8 @@ TEST(SyncSolver, CausalExecutionHistoryPassesChecker) {
   const SolverLayout layout(p.n);
   Recorder recorder(layout.node_count());
   (void)run_sync_on<CausalNode>(p, 6, {}, &recorder);
-  const auto violation = CausalChecker(recorder.history()).check();
-  EXPECT_FALSE(violation.has_value()) << violation->reason;
+  const ConsistencyReport cons = check_consistency(recorder.history());
+  EXPECT_TRUE(cons.ok()) << cons.reason;
 }
 
 template <typename NodeT>

@@ -9,7 +9,7 @@
 #include "causalmem/common/rng.hpp"
 #include "causalmem/dsm/causal/node.hpp"
 #include "causalmem/dsm/system.hpp"
-#include "causalmem/history/causal_checker.hpp"
+#include "causalmem/history/consistency.hpp"
 #include "causalmem/history/recorder.hpp"
 
 namespace causalmem {
@@ -79,9 +79,8 @@ TEST(AsyncWrite, RandomWorkloadRemainsCausallyConsistent) {
         });
       }
     }
-    const auto violation = CausalChecker(recorder.history()).check();
-    EXPECT_FALSE(violation.has_value())
-        << "seed " << seed << ": " << violation->reason;
+    const ConsistencyReport cons = check_consistency(recorder.history());
+    EXPECT_TRUE(cons.ok()) << "seed " << seed << ": " << cons.reason;
   }
 }
 

@@ -7,7 +7,7 @@
 #include <thread>
 
 #include "causalmem/dsm/system.hpp"
-#include "causalmem/history/causal_checker.hpp"
+#include "causalmem/history/consistency.hpp"
 #include "causalmem/history/recorder.hpp"
 
 namespace causalmem {
@@ -243,9 +243,9 @@ TEST(CausalNode, ConcurrentWorkloadIsCausallyConsistent) {
     }
     threads.clear();  // join
   }
-  const auto violation = CausalChecker(recorder.history()).check();
-  EXPECT_FALSE(violation.has_value())
-      << violation->reason << "\n" << recorder.history().to_string();
+  const ConsistencyReport cons = check_consistency(recorder.history());
+  EXPECT_TRUE(cons.ok())
+      << cons.reason << "\n" << recorder.history().to_string();
 }
 
 // Forwards to an InMemTransport and records, per message type, the thread

@@ -13,7 +13,7 @@
 #include "causalmem/common/rng.hpp"
 #include "causalmem/dsm/causal/node.hpp"
 #include "causalmem/dsm/system.hpp"
-#include "causalmem/history/causal_checker.hpp"
+#include "causalmem/history/consistency.hpp"
 #include "causalmem/history/recorder.hpp"
 
 namespace causalmem {
@@ -62,8 +62,8 @@ TEST(FaultRecovery, SyncSolverBitExactOverLossyChannels) {
   for (std::size_t i = 0; i < p.n; ++i) {
     EXPECT_EQ(run.x[i], ref[i]) << "component " << i;
   }
-  const auto violation = CausalChecker(recorder.history()).check();
-  EXPECT_FALSE(violation.has_value()) << violation->reason;
+  const ConsistencyReport cons = check_consistency(recorder.history());
+  EXPECT_TRUE(cons.ok()) << cons.reason;
   // The faults must actually have bitten (otherwise this test proves
   // nothing) and their repair must be visible in the stats.
   EXPECT_GT(stats[Counter::kNetFaultDrop], 0u);
@@ -113,8 +113,8 @@ TEST(FaultRecovery, DictionaryConvergesOverLossyChannels) {
   }
   EXPECT_EQ(views[0], views[1]);
   EXPECT_EQ(views[1], views[2]);
-  const auto violation = CausalChecker(recorder.history()).check();
-  EXPECT_FALSE(violation.has_value()) << violation->reason;
+  const ConsistencyReport cons = check_consistency(recorder.history());
+  EXPECT_TRUE(cons.ok()) << cons.reason;
   EXPECT_GT(retransmits, 0u) << "a 20% drop rate must force retransmissions";
 }
 
@@ -143,9 +143,8 @@ TEST(FaultRecovery, RandomWorkloadIsCausallyConsistentOverLossyChannels) {
         });
       }
     }
-    const auto violation = CausalChecker(recorder.history()).check();
-    ASSERT_FALSE(violation.has_value()) << "seed=" << seed << ": "
-                                        << violation->reason;
+    const ConsistencyReport cons = check_consistency(recorder.history());
+    ASSERT_TRUE(cons.ok()) << "seed=" << seed << ": " << cons.reason;
   }
 }
 
@@ -198,8 +197,8 @@ TEST(FaultRecovery, SolverSurvivesPartitionThatHeals) {
   for (std::size_t i = 0; i < p.n; ++i) {
     EXPECT_EQ(run.x[i], ref[i]) << "component " << i;
   }
-  const auto violation = CausalChecker(recorder.history()).check();
-  EXPECT_FALSE(violation.has_value()) << violation->reason;
+  const ConsistencyReport cons = check_consistency(recorder.history());
+  EXPECT_TRUE(cons.ok()) << cons.reason;
   // The partition must have bitten (retransmissions bridged it) but never
   // escalated to a give-up: the default retransmission budget outlasts a
   // 60ms outage by an order of magnitude.

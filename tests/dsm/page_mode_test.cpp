@@ -8,7 +8,7 @@
 #include "causalmem/common/rng.hpp"
 #include "causalmem/dsm/causal/node.hpp"
 #include "causalmem/dsm/system.hpp"
-#include "causalmem/history/causal_checker.hpp"
+#include "causalmem/history/consistency.hpp"
 #include "causalmem/history/recorder.hpp"
 
 namespace causalmem {
@@ -88,9 +88,8 @@ TEST(PageMode, RandomWorkloadIsCausallyConsistent) {
         });
       }
     }
-    const auto violation = CausalChecker(recorder.history()).check();
-    EXPECT_FALSE(violation.has_value())
-        << "page_size " << page_size << ": " << violation->reason;
+    const ConsistencyReport cons = check_consistency(recorder.history());
+    EXPECT_TRUE(cons.ok()) << "page_size " << page_size << ": " << cons.reason;
   }
 }
 

@@ -314,9 +314,8 @@ TEST(BigHistory, OnlineCheckedThreadedRunAtScale) {
       << "streaming checker state grew past 64 MiB on " << total << " ops";
 
   if (record) {
-    const History h = recorder.history();
-    const ConsistencyReport cons = check_consistency_hierarchy_auto(h);
-    EXPECT_TRUE(cons.causal) << cons.reason;
+    const ConsistencyReport cons = check_consistency(recorder.history());
+    EXPECT_TRUE(cons.ok()) << cons.reason;
     EXPECT_EQ(cons.causal, oc->ok())
         << "online and post-hoc verdicts disagree on the same run";
   }
@@ -379,17 +378,16 @@ TEST(CausalSimProperty, RandomWalkSeedMatrixCheckerClean) {
 
 /// Deep sim matrix: much longer scripts than the 6-op cases above, with the
 /// online streaming checker running during the schedule in addition to the
-/// post-hoc hierarchy (finish_run fails loudly if the two verdicts ever
-/// disagree). Script length scales with CAUSALMEM_BIG_SIM_OPS for the CI
-/// big-history job.
+/// post-hoc check_consistency (finish_run fails loudly if the two verdicts
+/// ever disagree). Script length scales with CAUSALMEM_BIG_SIM_OPS for the
+/// CI big-history job.
 TEST(CausalSimProperty, DeepRandomWalkOnlineCheckedSeedMatrix) {
   const std::size_t ops_per_node = [] {
     if (const char* env = std::getenv("CAUSALMEM_BIG_SIM_OPS")) {
       return static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
     }
-    // The brute hierarchy is super-linear in this size range; large env
-    // overrides cross the auto-dispatch threshold into the streaming
-    // hierarchy, so CI-scale runs are cheap again.
+    // Both checks are linear, so the cost of a larger setting is the
+    // simulated run itself; the default keeps tier-1 short.
     return static_cast<std::size_t>(30);
   }();
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
@@ -423,9 +421,11 @@ TEST(CausalSimProperty, DeepRandomWalkOnlineCheckedSeedMatrix) {
 /// produce genuine read-kill violations — a replica overwrites its own newer
 /// value with a concurrent remote write and later reads resurrect it. This
 /// matrix is therefore a *differential* test, not a cleanliness test: the
-/// online streaming checker and the post-hoc hierarchy must agree on every
-/// verdict (finish_run appends a "disagreement" marker when they split), and
-/// the deterministic scheduler must reproduce at least one violating seed.
+/// online streaming checker and the post-hoc check_consistency must agree on
+/// every verdict (finish_run appends a "disagreement" marker when they
+/// split), the brute Definition-1 oracle must agree with both on every
+/// seed, and the deterministic scheduler must reproduce at least one
+/// violating seed.
 TEST(CausalSimProperty, DeepBroadcastRandomWalkCheckersAgree) {
   std::size_t violating = 0;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
@@ -445,9 +445,17 @@ TEST(CausalSimProperty, DeepBroadcastRandomWalkCheckersAgree) {
       }
     }
     sim::RandomWalkStrategy walk(seed);
-    const sim::ExecutionResult res = sim::run_broadcast_scenario(cfg, walk);
+    sim::ScenarioOutcome out;
+    const sim::ExecutionResult res =
+        sim::run_broadcast_scenario(cfg, walk, &out);
     ASSERT_TRUE(res.report.ok())
         << "seed " << seed << ": " << res.report.error;
+    const auto oracle = CausalChecker(out.history).check();
+    ASSERT_EQ(!oracle.has_value(), res.consistent)
+        << "seed " << seed << ": oracle says "
+        << (oracle.has_value() ? oracle->reason : std::string("clean"))
+        << ", the run says "
+        << (res.consistent ? std::string("clean") : res.violation);
     if (!res.consistent) {
       ASSERT_EQ(res.violation.find("disagreement"), std::string::npos)
           << "seed " << seed

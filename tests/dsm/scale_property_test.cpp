@@ -4,9 +4,9 @@
 // touch their group's addresses, so every page's copyset is at most the
 // group size g regardless of n. Each run is online-checked by the
 // streaming causal checker (with the declared process count driving its
-// frontier GC) in addition to the post-hoc hierarchy, and the per-node
-// counter snapshots exposed through ScenarioOutcome turn the scaling claim
-// into assertions:
+// frontier GC) in addition to the post-hoc check_consistency, and the
+// per-node counter snapshots exposed through ScenarioOutcome turn the
+// scaling claim into assertions:
 //
 //   - invalidation notices per write <= copyset size:  shard.inval_queued
 //     <= writes * (g - 1), independent of n — O(|copyset|), not O(n);
@@ -80,8 +80,8 @@ void run_scale_property(std::size_t nodes, std::size_t ops_per_node,
   const ExecutionResult res = run_causal_scenario(cfg, walk, &out);
   ASSERT_TRUE(res.report.ok())
       << nodes << " nodes, seed " << seed << ": " << res.report.error;
-  // res.consistent covers BOTH the post-hoc hierarchy verdict and the
-  // online streaming checker (finish_run fails loudly if they disagree).
+  // res.consistent covers BOTH the post-hoc check_consistency verdict and
+  // the online streaming checker (finish_run fails loudly if they disagree).
   ASSERT_TRUE(res.consistent)
       << nodes << " nodes, seed " << seed << ": " << res.violation;
   ASSERT_EQ(out.node_stats.size(), nodes);

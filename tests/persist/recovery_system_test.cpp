@@ -14,7 +14,7 @@
 #include "causalmem/dsm/causal/node.hpp"
 #include "causalmem/dsm/failover.hpp"
 #include "causalmem/dsm/system.hpp"
-#include "causalmem/history/causal_checker.hpp"
+#include "causalmem/history/consistency.hpp"
 #include "causalmem/history/recorder.hpp"
 #include "causalmem/persist/vfs.hpp"
 
@@ -100,8 +100,8 @@ TEST(DurableRecovery, RestartRestoresOwnedCellsWithZeroElections) {
   EXPECT_EQ(sys.node(0).try_read(0).value, 77);
 
   sys.shutdown();
-  const auto violation = CausalChecker(recorder.history()).check();
-  EXPECT_FALSE(violation.has_value()) << violation->reason;
+  const ConsistencyReport cons = check_consistency(recorder.history());
+  EXPECT_TRUE(cons.ok()) << cons.reason;
 }
 
 TEST(DurableRecovery, BoundedCatchupElectsDurableSeedAcrossTwoCrashes) {
@@ -153,8 +153,8 @@ TEST(DurableRecovery, BoundedCatchupElectsDurableSeedAcrossTwoCrashes) {
   EXPECT_EQ(stats[Counter::kFoRecoverCopy], 0u);
 
   sys.shutdown();
-  const auto violation = CausalChecker(recorder.history()).check();
-  EXPECT_FALSE(violation.has_value()) << violation->reason;
+  const ConsistencyReport cons = check_consistency(recorder.history());
+  EXPECT_TRUE(cons.ok()) << cons.reason;
 }
 
 TEST(DurableRecovery, LostDiskEpochReElectsInsteadOfRollingBack) {
@@ -195,8 +195,8 @@ TEST(DurableRecovery, LostDiskEpochReElectsInsteadOfRollingBack) {
   EXPECT_GE(stats[Counter::kFoRecoverCopy], 1u);
 
   sys.shutdown();
-  const auto violation = CausalChecker(recorder.history()).check();
-  EXPECT_FALSE(violation.has_value()) << violation->reason;
+  const ConsistencyReport cons = check_consistency(recorder.history());
+  EXPECT_TRUE(cons.ok()) << cons.reason;
 }
 
 TEST(DurableFailover, SuspectPrefersDurableSuccessor) {
