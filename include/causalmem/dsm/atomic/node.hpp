@@ -20,7 +20,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -67,9 +66,18 @@ class AtomicNode final : public SharedMemory {
     WriteTag tag{};
   };
 
+  /// Where complete_pending leaves a blocked request's reply. It lives in
+  /// the waiting call's frame; complete_pending fills it, and erases the
+  /// pending entry that points at it, in one hold of mu_. Guarded by mu_.
+  struct ReplySlot {
+    Value value{0};
+    WriteTag tag{};
+    bool done{false};
+  };
+
   /// A blocked READ or WRITE awaiting its reply.
   struct PendingRequest {
-    std::promise<Message> reply;
+    ReplySlot* slot{nullptr};  ///< the waiting call's slot
     /// inv_count(addr) when the request was sent. An owner sends a reply
     /// after releasing its mutex, so an INV for a write that follows the
     /// reply's serve point can overtake the reply on the channel. The INV
@@ -110,7 +118,9 @@ class AtomicNode final : public SharedMemory {
                    std::uint64_t trace_id);
 
   OwnedCell& owned_cell(Addr x);
-  std::future<Message> register_pending(std::uint64_t rid, Addr x);
+  /// Registers request `rid` for location x, answered into `slot`. Caller
+  /// holds mu_.
+  void register_pending(std::uint64_t rid, Addr x, ReplySlot* slot);
   [[nodiscard]] std::uint64_t inv_count(Addr x) const;
 
   /// Mints a correlation id for one remote (or fan-out-bearing) operation:
@@ -128,6 +138,8 @@ class AtomicNode final : public SharedMemory {
 
   mutable std::mutex mu_;
   std::condition_variable write_done_cv_;
+  /// Signalled whenever complete_pending fills a slot.
+  std::condition_variable reply_cv_;
   std::uint64_t write_seq_{0};
   std::unordered_map<Addr, OwnedCell> owned_;
   std::unordered_map<Addr, CachedCell> cache_;

@@ -23,7 +23,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <list>
 #include <mutex>
 #include <set>
@@ -158,17 +157,27 @@ class CausalNode final : public SharedMemory {
     std::list<std::uint64_t>::iterator lru_it;
   };
 
+  /// Where complete_pending leaves a blocking request's outcome. It lives
+  /// in the waiting call's frame; complete_pending fills it, and erases the
+  /// pending entry that points at it, in one hold of mu_, and never touches
+  /// it afterwards. Guarded by mu_.
+  struct ReplySlot {
+    Value value{0};  ///< a READ's returned value
+    bool done{false};
+  };
+
   struct Pending {
-    bool async{false};
+    /// The waiting call's slot; null for an async write, which no call
+    /// waits on (flush() is its fence).
+    ReplySlot* slot{nullptr};
     std::uint64_t start_ns{0};  ///< invocation time of the blocked operation
     std::uint64_t trace_id{0};  ///< correlation id of the owning operation
-    /// served_merges_ at send time: lets a READ reply detect owner-side
-    /// installs that this node absorbed while the request was in flight
-    /// (see the stale-install guard in complete_pending).
+    /// READs only: served_merges_ at send time, so the reply can detect
+    /// owner-side installs that this node absorbed while the request was in
+    /// flight (see the stale-install guard in complete_pending).
     VectorClock serve_snapshot;
-    std::promise<Message> reply;
-    /// The simulated task parked on `reply` (await_reply records it), woken
-    /// once the reply is set; kNoTask on every threaded run.
+    /// The simulated task parked on `slot` (await_reply records it), woken
+    /// once the slot is filled; kNoTask on every threaded run.
     coop::TaskToken waiter{coop::kNoTask};
   };
 
@@ -214,11 +223,11 @@ class CausalNode final : public SharedMemory {
   /// fault-free path stays allocation-free). Caller holds mu_.
   void log_observe(Addr x, const Cell& c);
 
-  /// Waits for `fut` with the configured per-round deadline (virtual time:
-  /// obs::now_ns()). Returns true when the reply arrived; on expiry the
-  /// pending entry is abandoned (late replies are dropped) and false is
-  /// returned. With request_timeout == 0, blocks indefinitely.
-  bool await_reply(std::future<Message>& fut, std::uint64_t rid,
+  /// Waits until complete_pending fills `slot` (request `rid`) or virtual
+  /// time (obs::now_ns()) reaches `deadline_ns`; 0 waits indefinitely.
+  /// Returns true when the reply arrived; on expiry the pending entry is
+  /// abandoned (a late reply is dropped) and false is returned.
+  bool await_reply(ReplySlot& slot, std::uint64_t rid,
                    std::uint64_t deadline_ns);
 
   /// Blocks until outstanding_async_ drains (the async-mode fence). Takes
@@ -311,9 +320,11 @@ class CausalNode final : public SharedMemory {
     return ownership_.owner(page_base(page_of(x)));
   }
 
-  std::future<Message> register_pending(std::uint64_t rid, bool async,
-                                        std::uint64_t start_ns = 0,
-                                        std::uint64_t trace_id = 0);
+  /// Registers request `rid`; `slot` is null for an async write. Caller
+  /// holds mu_.
+  Pending& register_pending(std::uint64_t rid, ReplySlot* slot,
+                            std::uint64_t start_ns = 0,
+                            std::uint64_t trace_id = 0);
 
   /// Mints the correlation id stamped on every message and trace event of
   /// one remote operation: globally unique across nodes (the node id lives
@@ -418,6 +429,9 @@ class CausalNode final : public SharedMemory {
   /// while they target one owner.
   NodeId async_chain_owner_{kNoNode};
   std::condition_variable flush_cv_;
+  /// Signalled whenever complete_pending fills a slot; threaded waiters
+  /// re-check their own slot under mu_.
+  std::condition_variable reply_cv_;
 };
 
 }  // namespace causalmem

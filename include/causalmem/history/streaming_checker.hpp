@@ -244,7 +244,6 @@ class StreamingCausalChecker {
   };
 
   void ensure_proc(NodeId p);
-  void enqueue_and_drain(const Operation& op);
   void drain_from(NodeId first);
   void process_op(const Operation& op);
   void process_read(const Operation& op);
@@ -268,10 +267,11 @@ class StreamingCausalChecker {
                                         std::size_t i) noexcept {
     return i < v.size() ? v[i] : 0;
   }
-  static void set_component(std::vector<std::uint64_t>& v, std::size_t i,
-                            std::uint64_t value);
-  static void merge_clock(std::vector<std::uint64_t>& into,
-                          const std::vector<std::uint64_t>& from);
+  /// Raises component i of process q's clock to `value` (clocks only
+  /// grow) and keeps the min frontier current.
+  void advance(NodeId q, std::size_t i, std::uint64_t value);
+  /// Component-wise max of `from` into process q's clock, through advance.
+  void merge_into(NodeId q, const std::vector<std::uint64_t>& from);
   /// min(kill[q], n) with lazy growth (kNoKill when absent).
   static void kill_min(std::vector<std::uint64_t>& kill, std::size_t q,
                        std::uint64_t n);
@@ -319,8 +319,12 @@ class StreamingCausalChecker {
   std::unordered_map<Addr, InitKill> init_kill_;
   std::unordered_map<TagKey, std::vector<NodeId>, TagKeyHash> waiters_;
 
+  /// While procs_declared_: min_frontier_[i] is the least component i over
+  /// every process's clock, and at_min_[i] how many clocks sit at it.
   std::vector<std::uint64_t> min_frontier_;
+  std::vector<std::uint32_t> at_min_;
   std::uint32_t ops_since_gc_{0};
+  std::vector<NodeId> work_;  ///< drain_from's worklist, reused across ops
 
   std::optional<StreamingViolation> first_cc_;
   std::optional<StreamingViolation> first_causal_;

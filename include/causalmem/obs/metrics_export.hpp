@@ -93,15 +93,6 @@ class MetricsExporter {
   std::vector<std::unique_ptr<RunMetrics>> runs_;
 };
 
-/// One-call live snapshot: a complete "causalmem-metrics-v1" document of the
-/// registry's current counters and histograms (plus the trace summary when
-/// `hub` is non-null). Counters are relaxed-atomic reads, so polling mid-run
-/// is safe and cheap; successive calls give incremental views of the same
-/// run (a dashboard/bench can diff consecutive documents).
-[[nodiscard]] std::string live_metrics_json(const StatsRegistry& stats,
-                                            const TraceHub* hub = nullptr,
-                                            const std::string& label = "live");
-
 /// Renders events as a Chrome-trace JSON object ({"traceEvents": [...]}) that
 /// Perfetto and chrome://tracing load directly: one "process" per node,
 /// instant events for point events, complete ("X") events for spans. Each

@@ -150,9 +150,13 @@ class SimScheduler final : public coop::Parker {
   /// Stack high-water marks over the simulator, scale and sim-driven dsm
   /// suites are 5-6 KB optimised and 11 KB under ASan Debug, and only
   /// touched pages count toward RSS. Stacks are reused: run() hands each
-  /// back to a process-wide pool with its pages released (the guard stays),
-  /// and a task's first resume takes one from there before mapping anew.
+  /// back to a process-wide pool (the guard stays), and a task's first
+  /// resume takes one from there before mapping anew.
   static constexpr std::size_t kTaskStackBytes = std::size_t{256} * 1024;
+  /// The top of a pooled stack that stays resident between runs: more than
+  /// any high-water mark above, so a reused stack's first resume takes no
+  /// page fault. The pages below it are released when the stack is pooled.
+  static constexpr std::size_t kWarmStackBytes = std::size_t{16} * 1024;
 
   explicit SimScheduler(SimOptions options = {});
   ~SimScheduler() override;

@@ -83,12 +83,12 @@ Value AtomicNode::read(Addr x) {
 
   std::uint64_t rid;
   std::uint64_t tid;
-  std::future<Message> fut;
+  ReplySlot slot;
   {
     std::unique_lock lock(mu_);
     rid = next_rid_++;
     tid = new_trace_id();
-    fut = register_pending(rid, x);
+    register_pending(rid, x, &slot);
   }
   Message req;
   req.type = MsgType::kRead;
@@ -101,18 +101,18 @@ Value AtomicNode::read(Addr x) {
   transport_.send(std::move(req));
 
   // The cached copy was installed by complete_pending, in the delivery,
-  // *before* this future resolved — so an INV that the owner sends after
+  // *before* it filled the slot — so an INV that the owner sends after
   // our R_REPLY (FIFO channel) can never race past the install, and one
   // sent before it stops the install (PendingRequest).
-  const Message rep = fut.get();
+  std::unique_lock lock(mu_);
+  reply_cv_.wait(lock, [&slot] { return slot.done; });
   const OpTiming done = op_start.close();
   record_op_done(stats_, tr, LatencyMetric::kReadNs,
                  obs::TraceEventKind::kReadDone, x, done, tid);
-  std::unique_lock lock(mu_);
   if (observer_ != nullptr) {
-    observer_->on_read(id_, x, rep.value, rep.tag, done);
+    observer_->on_read(id_, x, slot.value, slot.tag, done);
   }
-  return rep.value;
+  return slot.value;
 }
 
 void AtomicNode::write(Addr x, Value v) {
@@ -145,7 +145,7 @@ void AtomicNode::write(Addr x, Value v) {
 
   std::uint64_t rid;
   std::uint64_t tid;
-  std::future<Message> fut;
+  ReplySlot slot;
   WriteTag tag;
   {
     std::unique_lock lock(mu_);
@@ -153,7 +153,7 @@ void AtomicNode::write(Addr x, Value v) {
     tag = WriteTag{id_, ++write_seq_};
     rid = next_rid_++;
     tid = new_trace_id();
-    fut = register_pending(rid, x);
+    register_pending(rid, x, &slot);
   }
   Message req;
   req.type = MsgType::kWrite;
@@ -167,11 +167,12 @@ void AtomicNode::write(Addr x, Value v) {
   stats_.bump(Counter::kMsgWriteRequest);
   transport_.send(std::move(req));
 
-  (void)fut.get();  // cache install happened in complete_pending (FIFO-safe)
+  // The cache install happened in complete_pending (FIFO-safe).
+  std::unique_lock lock(mu_);
+  reply_cv_.wait(lock, [&slot] { return slot.done; });
   const OpTiming done = op_start.close();
   record_op_done(stats_, tr, LatencyMetric::kWriteNs,
                  obs::TraceEventKind::kWriteDone, x, done, tid);
-  std::unique_lock lock(mu_);
   if (observer_ != nullptr) {
     observer_->on_write(id_, x, v, tag, true, done);
   }
@@ -398,7 +399,7 @@ void AtomicNode::complete_pending(const Message& m) {
   std::unique_lock lock(mu_);
   auto it = pending_.find(m.request_id);
   CM_ASSERT_MSG(it != pending_.end(), "reply for unknown request");
-  std::promise<Message> prom = std::move(it->second.reply);
+  ReplySlot& slot = *it->second.slot;
   const bool overtaken = inv_count(m.addr) != it->second.inv_count_at_send;
   pending_.erase(it);
   // Install the fetched/written copy here, in the delivery: the owner put
@@ -411,20 +412,23 @@ void AtomicNode::complete_pending(const Message& m) {
   if (!owns(m.addr) && !overtaken) {
     cache_[m.addr] = CachedCell{m.value, m.tag};
   }
+  slot.value = m.value;
+  slot.tag = m.tag;
+  slot.done = true;
   lock.unlock();
-  prom.set_value(m);
+  reply_cv_.notify_all();
 }
 
 AtomicNode::OwnedCell& AtomicNode::owned_cell(Addr x) {
   return owned_.try_emplace(x).first->second;
 }
 
-std::future<Message> AtomicNode::register_pending(std::uint64_t rid,
-                                                   Addr x) {
+void AtomicNode::register_pending(std::uint64_t rid, Addr x,
+                                  ReplySlot* slot) {
   auto [it, inserted] = pending_.try_emplace(rid);
   CM_ASSERT(inserted);
+  it->second.slot = slot;
   it->second.inv_count_at_send = inv_count(x);
-  return it->second.reply.get_future();
 }
 
 std::uint64_t AtomicNode::inv_count(Addr x) const {

@@ -131,7 +131,7 @@ ReadResult CausalNode::try_read(Addr x) {
   const std::uint32_t rounds = bounded ? cfg_.request_retries + 1 : 1;
   NodeId target = kNoNode;
   for (std::uint32_t round = 0; round < rounds; ++round) {
-    std::future<Message> fut;
+    ReplySlot slot;
     std::uint64_t rid = 0;
     std::uint64_t epoch_at_send = 0;
     {
@@ -139,7 +139,8 @@ ReadResult CausalNode::try_read(Addr x) {
       target = owner_of(x);
       rid = next_rid_++;
       epoch_at_send = transport_.endpoint_epoch(id_);
-      fut = register_pending(rid, /*async=*/false, op_start.start_ns, tid);
+      register_pending(rid, &slot, op_start.start_ns, tid).serve_snapshot =
+          served_merges_;
       Message req;
       req.type = MsgType::kRead;
       req.from = id_;
@@ -160,10 +161,10 @@ ReadResult CausalNode::try_read(Addr x) {
     // not-yet-installed stale copy, and the recorded per-node operation
     // order is the order effects actually took place (which is what makes
     // several application threads per node sound). complete_pending put the
-    // chosen value into the reply.
+    // chosen value into the slot.
     const std::uint64_t deadline = bounded ? obs::now_ns() + timeout_ns : 0;
-    if (await_reply(fut, rid, deadline)) {
-      const Value v = fut.get().value;
+    if (await_reply(slot, rid, deadline)) {
+      const Value v = slot.value;
       record_op_done(stats_, tr, LatencyMetric::kReadNs,
                      obs::TraceEventKind::kReadDone, x, op_start.close(), tid);
       return ReadResult{OpStatus::kOk, v};
@@ -264,8 +265,8 @@ OpStatus CausalNode::try_write(Addr x, Value v) {
   const bool async = cfg_.write_mode == WriteMode::kAsync;
   const std::uint64_t tid = new_trace_id();
   std::uint64_t rid = next_rid_++;
-  std::future<Message> fut =
-      register_pending(rid, async, op_start.start_ns, tid);
+  ReplySlot slot;
+  register_pending(rid, async ? nullptr : &slot, op_start.start_ns, tid);
   if (async) {
     ++outstanding_async_;
     async_chain_owner_ = target;
@@ -312,7 +313,7 @@ OpStatus CausalNode::try_write(Addr x, Value v) {
       target = owner_of(x);
       rid = next_rid_++;
       epoch_at_send = transport_.endpoint_epoch(id_);
-      fut = register_pending(rid, /*async=*/false, op_start.start_ns, tid);
+      register_pending(rid, &slot, op_start.start_ns, tid);
       Message retry = req;
       retry.to = target;
       retry.request_id = rid;
@@ -322,11 +323,10 @@ OpStatus CausalNode::try_write(Addr x, Value v) {
       transport_.deliver_held(held);
     }
     const std::uint64_t deadline = bounded ? obs::now_ns() + timeout_ns : 0;
-    if (await_reply(fut, rid, deadline)) {
+    if (await_reply(slot, rid, deadline)) {
       // Clock merge and cache refresh happened in complete_pending, in
       // FIFO position (see the read path comment) — on this very thread
       // when the WRITE was delivered here and its reply came back inline.
-      (void)fut.get();
       record_op_done(stats_, tr, LatencyMetric::kWriteNs,
                      obs::TraceEventKind::kWriteDone, x, op_start.close(),
                      tid);
@@ -625,12 +625,12 @@ void CausalNode::complete_pending(const Message& m) {
   std::unique_lock lock(mu_);
   auto it = pending_.find(m.request_id);
   if (it == pending_.end()) {
-    // A reply that outlived its deadline (the round timed out and abandoned
-    // the slot) or a duplicate. Harmless to drop: the retry re-fetches any
-    // state this reply carried, and a retried write is idempotent at the
-    // owner. Without deadlines this cannot happen — keep the old invariant.
-    CM_ASSERT_MSG(cfg_.request_timeout.count() > 0,
-                  "reply for unknown request");
+    // A reply that outlived its round (await_reply abandoned it at the
+    // deadline: a configured request_timeout, or rejoin()'s SYNC wait) or a
+    // duplicate. Harmless to drop: the retry re-fetches any state this
+    // reply carried, and a retried write is idempotent at the owner. A
+    // request this node never issued is still impossible.
+    CM_ASSERT_MSG(m.request_id < next_rid_, "reply for unknown request");
     return;
   }
 
@@ -638,11 +638,11 @@ void CausalNode::complete_pending(const Message& m) {
     // rejoin()'s clock resync: merge the peer's vector time and wake the
     // rejoin loop. No cache or own-write bookkeeping is involved.
     vt_.update(m.stamp);
-    std::promise<Message> prom = std::move(it->second.reply);
+    it->second.slot->done = true;
     const coop::TaskToken waiter = it->second.waiter;
     pending_.erase(it);
     lock.unlock();
-    prom.set_value(m);
+    reply_cv_.notify_all();
     coop::wake(waiter);
     return;
   }
@@ -706,7 +706,7 @@ void CausalNode::complete_pending(const Message& m) {
                           OpTiming::now_ns() - it->second.start_ns);
   }
 
-  if (it->second.async) {
+  if (it->second.slot == nullptr) {
     // Background certification of a non-blocking write: merge the owner's
     // clock and release any flush() waiter.
     vt_.update(m.stamp);
@@ -725,7 +725,7 @@ void CausalNode::complete_pending(const Message& m) {
     if (--outstanding_async_ == 0) flush_cv_.notify_all();
     return;
   }
-  std::promise<Message> prom = std::move(it->second.reply);
+  ReplySlot& slot = *it->second.slot;
   const std::uint64_t op_start_ns = it->second.start_ns;
   const VectorClock serve_snapshot = std::move(it->second.serve_snapshot);
   const coop::TaskToken waiter = it->second.waiter;
@@ -736,7 +736,6 @@ void CausalNode::complete_pending(const Message& m) {
   // (If the blocked application thread applied it after wakeup, a WRITE
   // service arriving after this reply could run its invalidation sweep
   // before the stale install landed: a causal violation.)
-  Message result = m;
   if (m.type == MsgType::kReadReply) {
     // Fig. 4: VT_i := update(VT_i, VT'); M_i[x] := (v', VT'); invalidate all
     // cached values strictly older than VT'.
@@ -785,8 +784,7 @@ void CausalNode::complete_pending(const Message& m) {
     }
     // The read returns the post-merge cell and is observed at its effect
     // point, so the recorded per-node order is the order effects happened.
-    result.value = chosen.value;
-    result.tag = chosen.tag;
+    slot.value = chosen.value;
     if (observer_ != nullptr) {
       observer_->on_read(id_, m.addr, chosen.value, chosen.tag,
                          OpTiming{op_start_ns, OpTiming::now_ns()});
@@ -836,8 +834,9 @@ void CausalNode::complete_pending(const Message& m) {
     }
   }
 
+  slot.done = true;
   lock.unlock();
-  prom.set_value(std::move(result));
+  reply_cv_.notify_all();
   coop::wake(waiter);
 }
 
@@ -896,54 +895,39 @@ bool CausalNode::page_ready_locally(std::uint64_t pg) const {
   return failover_->base_owner(page_base(pg)) == id_;
 }
 
-bool CausalNode::await_reply(std::future<Message>& fut, std::uint64_t rid,
+bool CausalNode::await_reply(ReplySlot& slot, std::uint64_t rid,
                              std::uint64_t deadline_ns) {
-  const auto ready = [&fut] {
-    return fut.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  const auto expired = [deadline_ns] {
+    return deadline_ns != 0 && obs::now_ns() >= deadline_ns;
   };
+  std::unique_lock lock(mu_);
   if (coop::enabled()) {
-    // Simulated run: park until complete_pending fulfils the reply (on the
+    // Simulated run: park until complete_pending fills the slot (on the
     // scheduler thread) and wakes this task, or virtual time reaches the
-    // deadline — both advance only under scheduler control. The reply is
-    // set only by complete_pending, which wakes the recorded waiter, so the
-    // scheduler need not poll the future every step.
-    {
-      std::scoped_lock lock(mu_);
-      if (auto it = pending_.find(rid); it != pending_.end()) {
-        it->second.waiter = coop::self();
-      }
+    // deadline — both advance only under scheduler control, so the
+    // scheduler need not poll the slot every step.
+    if (auto it = pending_.find(rid); it != pending_.end()) {
+      it->second.waiter = coop::self();
     }
-    while (!ready()) {
-      if (deadline_ns != 0 && obs::now_ns() >= deadline_ns) break;
+    while (!slot.done && !expired()) {
+      lock.unlock();
       coop::park({}, deadline_ns, "await_reply");
+      lock.lock();
     }
-    if (ready()) return true;
   } else if (deadline_ns == 0) {
-    fut.wait();
-    return true;
+    reply_cv_.wait(lock, [&slot] { return slot.done; });
   } else {
     // Deadlines are virtual time (obs::now_ns()), so FakeClock tests control
-    // expiry deterministically; the short real-time poll only paces the
+    // expiry deterministically; the short real-time wait only paces the
     // check.
-    for (;;) {
-      if (fut.wait_for(std::chrono::microseconds(200)) ==
-          std::future_status::ready) {
-        return true;
-      }
-      if (obs::now_ns() >= deadline_ns) break;
+    while (!slot.done && !expired()) {
+      reply_cv_.wait_for(lock, std::chrono::microseconds(200));
     }
   }
-  std::unique_lock lock(mu_);
-  if (!pending_.contains(rid)) {
-    // complete_pending already claimed the slot and is mid-application:
-    // the promise is about to be (or was just) fulfilled. Wait it out —
-    // only complete_pending and this function ever erase a pending slot.
-    lock.unlock();
-    fut.wait();
-    return true;
-  }
-  // Abandon the round: a reply arriving after this is dropped by the
-  // tolerant lookup in complete_pending.
+  if (slot.done) return true;
+  // Abandon the round. complete_pending fills a slot and erases its entry
+  // in one hold of mu_, so this entry has no reply yet, and one arriving
+  // after this is dropped by complete_pending's lookup.
   pending_.erase(rid);
   return false;
 }
@@ -1139,9 +1123,9 @@ void CausalNode::finish_recovery(std::uint64_t pg,
 bool CausalNode::rejoin() {
   CM_EXPECTS_MSG(failover_ != nullptr, "rejoin requires attach_failover");
   struct Wait {
-    NodeId peer;
-    std::uint64_t rid;
-    std::future<Message> fut;
+    NodeId peer{kNoNode};
+    std::uint64_t rid{0};
+    ReplySlot slot;
   };
   std::vector<Wait> waits;
   std::uint64_t epoch_at_send = 0;
@@ -1174,8 +1158,8 @@ bool CausalNode::rejoin() {
         ++oit;
       }
     }
-    // NOT pending_ / outstanding_async_: application threads may still hold
-    // futures from before the crash; their rounds expire via await_reply.
+    // NOT pending_ / outstanding_async_: application threads may still wait
+    // on slots from before the crash; their rounds expire via await_reply.
     //
     // The clock restarts from the stable write counter: our own component
     // must stay ahead of every write this incarnation will issue (tags are
@@ -1232,18 +1216,20 @@ bool CausalNode::rejoin() {
         }
       }
     }
-    for (const NodeId p : failover_->live_peers(id_)) {
-      const std::uint64_t rid = next_rid_++;
-      std::future<Message> fut =
-          register_pending(rid, /*async=*/false, /*start_ns=*/0);
+    const std::vector<NodeId> peers = failover_->live_peers(id_);
+    waits.resize(peers.size());  // sized once: registered slots never move
+    for (std::size_t i = 0; i < peers.size(); ++i) {
+      Wait& w = waits[i];
+      w.peer = peers[i];
+      w.rid = next_rid_++;
+      register_pending(w.rid, &w.slot);
       Message req;
       req.type = MsgType::kSyncRequest;
       req.from = id_;
-      req.to = p;
-      req.request_id = rid;
+      req.to = w.peer;
+      req.request_id = w.rid;
       stats_.bump(Counter::kFoSyncRequest);
       send_msg(std::move(req));
-      waits.push_back(Wait{p, rid, std::move(fut)});
     }
   }
   const std::uint64_t timeout_ns =
@@ -1252,7 +1238,7 @@ bool CausalNode::rejoin() {
           : 500'000'000ULL;  // un-configured systems still must not hang
   bool all = true;
   for (Wait& w : waits) {
-    if (!await_reply(w.fut, w.rid, obs::now_ns() + timeout_ns)) {
+    if (!await_reply(w.slot, w.rid, obs::now_ns() + timeout_ns)) {
       // Same endpoint-liveness guard as on_round_timeout: if we crashed
       // again mid-rejoin, the sync silence says nothing about the peer.
       if (transport_.endpoint_up(id_) &&
@@ -1379,17 +1365,16 @@ void CausalNode::evict_over_capacity() {
   }
 }
 
-std::future<Message> CausalNode::register_pending(std::uint64_t rid,
-                                                  bool async,
+CausalNode::Pending& CausalNode::register_pending(std::uint64_t rid,
+                                                  ReplySlot* slot,
                                                   std::uint64_t start_ns,
                                                   std::uint64_t trace_id) {
   auto [it, inserted] = pending_.try_emplace(rid);
   CM_ASSERT(inserted);
-  it->second.async = async;
+  it->second.slot = slot;
   it->second.start_ns = start_ns;
   it->second.trace_id = trace_id;
-  it->second.serve_snapshot = served_merges_;
-  return it->second.reply.get_future();
+  return it->second;
 }
 
 void CausalNode::notify_unreachable(MsgType op, NodeId target, Addr x) {

@@ -53,6 +53,7 @@ StreamingCausalChecker::StreamingCausalChecker(std::size_t nprocs_hint,
   pending_.resize(nprocs_hint);
   blocked_.assign(nprocs_hint, 0);
   min_frontier_.assign(nprocs_hint, 0);
+  at_min_.assign(nprocs_hint, static_cast<std::uint32_t>(nprocs_hint));
 }
 
 void StreamingCausalChecker::ensure_proc(NodeId p) {
@@ -68,26 +69,41 @@ void StreamingCausalChecker::ensure_proc(NodeId p) {
                  "process admitted after GC already dropped state: construct "
                  "StreamingCausalChecker with the full process count, or set "
                  "gc_interval=0");
+  // The min frontier is never read again: gc() collects nothing from here.
   procs_declared_ = false;
   clocks_.resize(p + 1);
   pending_.resize(p + 1);
   blocked_.resize(p + 1, 0);
-  min_frontier_.assign(min_frontier_.size(), 0);
-  min_frontier_.resize(p + 1, 0);
 }
 
-void StreamingCausalChecker::set_component(std::vector<std::uint64_t>& v,
-                                           std::size_t i,
-                                           std::uint64_t value) {
+void StreamingCausalChecker::advance(NodeId q, std::size_t i,
+                                     std::uint64_t value) {
+  auto& v = clocks_[q];
   if (i >= v.size()) v.resize(i + 1, 0);
+  const std::uint64_t old = v[i];
+  CM_ASSERT(value > old);
   v[i] = value;
+  // Clocks only grow, so component i's minimum moves only when the last
+  // process sitting at it leaves; only then is the component rescanned.
+  if (procs_declared_ && old == min_frontier_[i] && --at_min_[i] == 0) {
+    std::uint64_t lo = kNoKill;
+    std::uint32_t count = 0;
+    for (const auto& clock : clocks_) {
+      if (clock[i] < lo) {
+        lo = clock[i];
+        count = 0;
+      }
+      count += clock[i] == lo ? 1 : 0;
+    }
+    min_frontier_[i] = lo;
+    at_min_[i] = count;
+  }
 }
 
-void StreamingCausalChecker::merge_clock(
-    std::vector<std::uint64_t>& into, const std::vector<std::uint64_t>& from) {
-  if (from.size() > into.size()) into.resize(from.size(), 0);
+void StreamingCausalChecker::merge_into(NodeId q,
+                                        const std::vector<std::uint64_t>& from) {
   for (std::size_t i = 0; i < from.size(); ++i) {
-    into[i] = std::max(into[i], from[i]);
+    if (from[i] > at(clocks_[q], i)) advance(q, i, from[i]);
   }
 }
 
@@ -140,12 +156,11 @@ void StreamingCausalChecker::on_op(const Operation& op) {
 }
 
 void StreamingCausalChecker::drain_from(NodeId first) {
-  // Iterative worklist: completing a write may unpark reads at other
-  // processes, whose processing may unpark further processes.
-  std::deque<NodeId> work{first};
-  while (!work.empty()) {
-    const NodeId q = work.front();
-    work.pop_front();
+  // Iterative worklist (first in, first out): completing a write may unpark
+  // reads at other processes, whose processing may unpark further processes.
+  work_.assign(1, first);
+  for (std::size_t next = 0; next < work_.size(); ++next) {
+    const NodeId q = work_[next];
     if (blocked_[q] != 0) blocked_[q] = 0;
     auto& queue = pending_[q];
     while (!queue.empty()) {
@@ -167,7 +182,7 @@ void StreamingCausalChecker::drain_from(NodeId first) {
       if (op.kind == OpKind::kWrite) {
         if (const auto it = waiters_.find(TagKey{op.addr, op.tag});
             it != waiters_.end()) {
-          for (const NodeId s : it->second) work.push_back(s);
+          for (const NodeId s : it->second) work_.push_back(s);
           waiters_.erase(it);
         }
       }
@@ -242,8 +257,8 @@ void StreamingCausalChecker::process_read(const Operation& op) {
     }
   }
 
-  if (src != nullptr && !src->clock_dropped) merge_clock(V, src->clock);
-  set_component(V, q, n);
+  if (src != nullptr && !src->clock_dropped) merge_into(q, src->clock);
+  advance(q, q, n);
 
   // This read as an intervener: it kills (at the hb/CM level) every live
   // write of x with another tag inside its causal past.
@@ -255,9 +270,8 @@ void StreamingCausalChecker::process_read(const Operation& op) {
 
 void StreamingCausalChecker::process_write(const Operation& op) {
   const NodeId q = op.proc;
-  auto& V = clocks_[q];
   const std::uint64_t n = self_count(q) + 1;
-  set_component(V, q, n);
+  advance(q, q, n);
 
   kill_scan(op.addr, op.tag, /*is_write=*/true, q, n);
   kill_min(init_kill_[op.addr].cc, q, n);
@@ -275,7 +289,7 @@ void StreamingCausalChecker::process_write(const Operation& op) {
   rec.proc = q;
   rec.num = n;
   rec.value = op.value;
-  rec.clock = V;
+  rec.clock = clocks_[q];
   by_addr_[op.addr].push_back(&rec);
   stats_.live_writes = writes_.size();
   stats_.peak_live_writes =
@@ -374,23 +388,19 @@ void StreamingCausalChecker::gc() {
     refresh_memory_estimate();
     return;
   }
-  // Refresh the global min frontier: a write dominated by EVERY process's
-  // clock can never again be merged usefully (its clock is already below
-  // each V_q) and is co-before every future operation.
+  // A write dominated by the min frontier (by EVERY process's clock) can
+  // never again be merged usefully (its clock is already below each V_q)
+  // and is co-before every future operation. The frontier is kept current
+  // as clocks advance, and a write whose own component is above it cannot
+  // be dominated, so most live writes cost one compare here.
   const std::size_t procs = clocks_.size();
-  min_frontier_.assign(procs, kNoKill);
-  for (std::size_t q = 0; q < procs; ++q) {
-    for (std::size_t i = 0; i < procs; ++i) {
-      min_frontier_[i] = std::min(min_frontier_[i], at(clocks_[q], i));
-    }
-  }
   for (auto& [addr, list] : by_addr_) {
     for (std::size_t i = 0; i < list.size();) {
       WriteRec* w = list[i];
-      if (!w->clock_dropped) {
+      if (!w->clock_dropped && w->num <= min_frontier_[w->proc]) {
         bool dominated = true;
         for (std::size_t c = 0; c < w->clock.size() && dominated; ++c) {
-          dominated = w->clock[c] <= at(min_frontier_, c);
+          dominated = w->clock[c] <= min_frontier_[c];
         }
         if (dominated) {
           w->clock.clear();

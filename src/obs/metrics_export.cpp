@@ -142,15 +142,6 @@ bool MetricsExporter::write(const std::string& path) const {
   return static_cast<bool>(out.flush());
 }
 
-std::string live_metrics_json(const StatsRegistry& stats, const TraceHub* hub,
-                              const std::string& label) {
-  MetricsExporter exp("live");
-  RunMetrics& run = exp.add_run(label);
-  run.capture(stats);
-  if (hub != nullptr) run.capture_trace(*hub);
-  return exp.to_json();
-}
-
 namespace {
 
 /// Message-bearing kinds get the MsgType spelled into the event name so the

@@ -1,10 +1,10 @@
 #include "causalmem/sim/scheduler.hpp"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <mutex>
 #include <sstream>
@@ -36,6 +36,70 @@
 #if defined(CAUSALMEM_SIM_TSAN)
 #include <sanitizer/tsan_interface.h>
 #endif
+
+#if !defined(__x86_64__)
+#error "causalmem_fiber_switch (src/sim/scheduler.cpp) is x86-64 System V only; port it to this architecture"
+#endif
+
+// Saves the calling side's callee-saved registers, MXCSR and x87 control
+// word on its own stack, stores its stack pointer in *save_sp, loads
+// load_sp (a stack saved by an earlier switch, or one seeded by
+// fiber_start) and returns into the side that stack belongs to. No signal
+// mask is saved or restored: no task changes it, and leaving it alone
+// spares each switch the rt_sigprocmask system call that glibc's context
+// functions make.
+// Out of line, so the compiler treats every switch as an opaque call that
+// clobbers the caller-saved registers and any memory. It does not move a
+// CET shadow stack: a process running with user shadow stacks enabled
+// cannot use it.
+extern "C" void causalmem_fiber_switch(void** save_sp, void* load_sp);
+asm(R"(
+  .pushsection .text
+  .globl causalmem_fiber_switch
+  .hidden causalmem_fiber_switch
+  .type causalmem_fiber_switch, @function
+  .p2align 4
+causalmem_fiber_switch:
+  .cfi_startproc
+  pushq %rbp
+  .cfi_adjust_cfa_offset 8
+  pushq %rbx
+  .cfi_adjust_cfa_offset 8
+  pushq %r12
+  .cfi_adjust_cfa_offset 8
+  pushq %r13
+  .cfi_adjust_cfa_offset 8
+  pushq %r14
+  .cfi_adjust_cfa_offset 8
+  pushq %r15
+  .cfi_adjust_cfa_offset 8
+  subq $8, %rsp
+  .cfi_adjust_cfa_offset 8
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  .cfi_adjust_cfa_offset -8
+  popq %r15
+  .cfi_adjust_cfa_offset -8
+  popq %r14
+  .cfi_adjust_cfa_offset -8
+  popq %r13
+  .cfi_adjust_cfa_offset -8
+  popq %r12
+  .cfi_adjust_cfa_offset -8
+  popq %rbx
+  .cfi_adjust_cfa_offset -8
+  popq %rbp
+  .cfi_adjust_cfa_offset -8
+  ret
+  .cfi_endproc
+  .size causalmem_fiber_switch, .-causalmem_fiber_switch
+  .popsection
+)");
 
 namespace causalmem::sim {
 
@@ -83,11 +147,14 @@ class StackPool {
     return map;
   }
 
-  /// Takes back a stack no fiber runs on. Its pages are released, so a
-  /// pooled stack costs no memory and reads as zeros when reused.
+  /// Takes back a stack no fiber runs on. Its pages below the top
+  /// kWarmStackBytes are released: only a task that ran deep touched them.
+  /// The top stays resident, so the next task's first resume on the stack
+  /// takes no page fault.
   void give_back(void* map) noexcept {
     (void)madvise(static_cast<char*>(map) + page_bytes(),
-                  SimScheduler::kTaskStackBytes, MADV_DONTNEED);
+                  SimScheduler::kTaskStackBytes - SimScheduler::kWarmStackBytes,
+                  MADV_DONTNEED);
     std::scoped_lock lock(mu_);
     free_.push_back(map);
   }
@@ -105,11 +172,12 @@ StackPool g_stacks;
 
 /// A task's execution context: a pooled stack whose lowest page is a
 /// PROT_NONE guard (an overflow faults instead of writing into a
-/// neighbour), and the saved registers of both sides of the switch.
+/// neighbour), and the saved stack pointers of both sides of the switch
+/// (each side's registers are saved on its own stack).
 struct Fiber {
   void* map{nullptr};  ///< guard page + stack; null when the task holds none
-  ucontext_t self{};    ///< the task's registers while it is switched out
-  ucontext_t caller{};  ///< the scheduler's registers while the task runs
+  void* self_sp{nullptr};    ///< the task's, while it is switched out
+  void* caller_sp{nullptr};  ///< the scheduler's, while the task runs
 #if defined(CAUSALMEM_SIM_ASAN)
   const void* caller_stack{nullptr};
   std::size_t caller_stack_bytes{0};
@@ -132,12 +200,22 @@ void fiber_start(Fiber& f, void (*entry)()) {
   // redzones of frames its last task left without returning.
   __asan_unpoison_memory_region(f.stack_lo(), SimScheduler::kTaskStackBytes);
 #endif
-  const int got = getcontext(&f.self);
-  CM_ASSERT(got == 0);
-  f.self.uc_stack.ss_sp = f.stack_lo();
-  f.self.uc_stack.ss_size = SimScheduler::kTaskStackBytes;
-  f.self.uc_link = nullptr;  // entry never returns: it exits the fiber
-  makecontext(&f.self, entry, 0);
+  // Seed the stack as if causalmem_fiber_switch had saved it: its first
+  // switch pops zeroed callee-saved registers (rbp = 0 ends any
+  // frame-pointer walk) and "returns" into `entry` with rsp = 8 (mod 16),
+  // as after a call. Above that sits a null return address: `entry` never
+  // returns (it exits the fiber), and any unwind stops there. The new task
+  // starts with this thread's MXCSR and x87 control word.
+  std::uint32_t mxcsr = 0;
+  std::uint16_t fpu_cw = 0;
+  asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(fpu_cw));
+  auto* top = reinterpret_cast<std::uintptr_t*>(
+      static_cast<char*>(f.stack_lo()) + SimScheduler::kTaskStackBytes);
+  top[-1] = 0;                                         // entry's return
+  top[-2] = reinterpret_cast<std::uintptr_t>(entry);  // the switch's ret
+  for (int reg = 3; reg <= 8; ++reg) top[-reg] = 0;    // rbp ... r15
+  top[-9] = mxcsr | static_cast<std::uintptr_t>(fpu_cw) << 32;
+  f.self_sp = &top[-9];
 #if defined(CAUSALMEM_SIM_TSAN)
   f.tsan_self = __tsan_create_fiber(0);
 #endif
@@ -154,8 +232,7 @@ void fiber_resume(Fiber& f) {
   __sanitizer_start_switch_fiber(&fake_stack, f.stack_lo(),
                                  SimScheduler::kTaskStackBytes);
 #endif
-  const int switched = swapcontext(&f.caller, &f.self);
-  CM_ASSERT(switched == 0);
+  causalmem_fiber_switch(&f.caller_sp, f.self_sp);
 #if defined(CAUSALMEM_SIM_ASAN)
   __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
 #endif
@@ -181,8 +258,7 @@ void fiber_suspend(Fiber& f) {
   __sanitizer_start_switch_fiber(&fake_stack, f.caller_stack,
                                  f.caller_stack_bytes);
 #endif
-  const int switched = swapcontext(&f.self, &f.caller);
-  CM_ASSERT(switched == 0);
+  causalmem_fiber_switch(&f.self_sp, f.caller_sp);
 #if defined(CAUSALMEM_SIM_ASAN)
   __sanitizer_finish_switch_fiber(fake_stack, &f.caller_stack,
                                   &f.caller_stack_bytes);
@@ -200,8 +276,8 @@ void fiber_suspend(Fiber& f) {
   __sanitizer_start_switch_fiber(nullptr, f.caller_stack,
                                  f.caller_stack_bytes);
 #endif
-  setcontext(&f.caller);
-  CM_UNREACHABLE("setcontext returned");
+  causalmem_fiber_switch(&f.self_sp, f.caller_sp);
+  CM_UNREACHABLE("a finished fiber was resumed");
 }
 
 /// Pools the stack of a fiber that is not running (or was never started).

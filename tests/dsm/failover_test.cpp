@@ -406,6 +406,59 @@ TEST(OwnerFailover, HeartbeatDetectsIdleCrashInVirtualTime) {
   }
 }
 
+/// Steps the task named `first` whenever it can run, and delivers to node
+/// `starved` only while nothing else can run.
+class StarveDeliveriesTo final : public sim::Strategy {
+ public:
+  StarveDeliveriesTo(std::string_view first, NodeId starved)
+      : first_(first), starved_(starved) {}
+
+  std::size_t pick(const std::vector<sim::Choice>& choices) override {
+    std::size_t other = choices.size();
+    for (std::size_t i = 0; i < choices.size(); ++i) {
+      const sim::Choice& c = choices[i];
+      if (c.kind == sim::ChoiceKind::kStep && c.label == first_) return i;
+      const bool starved =
+          c.kind == sim::ChoiceKind::kDeliver && c.to == starved_;
+      if (!starved && other == choices.size()) other = i;
+    }
+    return other == choices.size() ? 0 : other;
+  }
+
+ private:
+  std::string_view first_;
+  NodeId starved_;
+};
+
+TEST(OwnerFailover, LateSyncReplyToAnAbandonedRejoinIsDropped) {
+  // With no request_timeout configured, rejoin() still gives each SYNC
+  // round 500 ms and then abandons it. Node 2 restarts at 5 ms while node
+  // 0 reads its own location 800 times at 1 ms per step, and no message
+  // reaches node 2 until nothing else can run: both SYNC replies arrive
+  // after their rounds expired. A late reply to an abandoned round is
+  // dropped in every configuration, as with a configured deadline.
+  using namespace std::chrono_literals;
+  const auto at = [](std::chrono::nanoseconds t) {
+    return static_cast<std::uint64_t>(t.count());
+  };
+  sim::CausalScenarioConfig cfg;
+  cfg.nodes = 3;
+  cfg.failover = true;
+  cfg.sim.event_tick_ns = at(1ms);
+  ASSERT_EQ(cfg.config.request_timeout.count(), 0);
+  cfg.scripts = {std::vector<sim::ScriptOp>(800, sim::ScriptOp::read(0))};
+  cfg.chaos = {sim::ChaosEvent::crash(at(2ms), 2),
+               sim::ChaosEvent::restart(at(5ms), 2)};
+  StarveDeliveriesTo strategy("chaos", 2);
+  sim::ScenarioOutcome out;
+  const sim::ExecutionResult res = sim::run_causal_scenario(cfg, strategy, &out);
+  ASSERT_TRUE(res.report.ok()) << res.report.error;
+  EXPECT_TRUE(res.consistent) << res.violation;
+  EXPECT_EQ(out.history.per_process[0].size(), 800u);
+  EXPECT_EQ(out.totals[Counter::kFoSyncRequest], 2u);
+  EXPECT_EQ(out.totals[Counter::kFoSyncReply], 2u);
+}
+
 TEST(OwnerFailover, FaultFreeRunKeepsEveryRecoveryCounterZero) {
   // Failover enabled but nothing crashes: the machinery must be pure
   // bookkeeping — zero recovery counters, zero recovery messages — so the

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cfenv>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -634,9 +635,16 @@ int page_state(std::uintptr_t addr) {
 
 TEST(SimScheduler, ConsecutiveRunsReuseTaskStacks) {
   const DeepRun first = run_deep_pair();
-  // Between runs the stacks stay mapped in the pool, their pages released.
-  EXPECT_EQ(page_state(first.top_a), 0);
-  EXPECT_EQ(page_state(first.top_b), 0);
+  // Between runs the stacks stay mapped in the pool. The top of each stays
+  // resident, so the next task's first resume takes no page fault; below
+  // the top kWarmStackBytes, the pages only the 64 KiB deep frames touched
+  // are released.
+  EXPECT_EQ(page_state(first.top_a), 1);
+  EXPECT_EQ(page_state(first.top_b), 1);
+  constexpr std::uintptr_t kDeep = 48 * 1024;
+  static_assert(kDeep > SimScheduler::kWarmStackBytes + 4096);
+  EXPECT_EQ(page_state(first.top_a - kDeep), 0);
+  EXPECT_EQ(page_state(first.top_b - kDeep), 0);
   // The next run's tasks take them back (the pool is last in, first out)
   // and keep 64 KiB of locals intact on them.
   const DeepRun second = run_deep_pair();
@@ -647,6 +655,53 @@ TEST(SimScheduler, ConsecutiveRunsReuseTaskStacks) {
                                                << " vs " << first.top_b;
   EXPECT_TRUE(near(second.top_b, first.top_a)) << std::hex << second.top_b
                                                << " vs " << first.top_a;
+}
+
+TEST(SimScheduler, EachFiberKeepsItsOwnRoundingMode) {
+  // The x87 control word and MXCSR are callee-saved, so each side of a
+  // switch keeps its own: task a's rounding mode must not leak into task b
+  // or into a deliver handler on the scheduler's stack, and must be back
+  // when a resumes.
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  SimScheduler sched;
+  SimTransport net(2, &sched);
+  int in_handler = -1;
+  net.register_node(0, [](const Message&) {});
+  net.register_node(1, [&in_handler](const Message&) {
+    in_handler = std::fegetround();
+  });
+  net.start();
+  int a_parked = -1;
+  int a_resumed = -1;
+  int in_b = -1;
+  sched.add_task("a", [&] {
+    std::fesetround(FE_UPWARD);
+    a_parked = std::fegetround();
+    Message m;
+    m.type = MsgType::kRead;
+    m.from = 0;
+    m.to = 1;
+    net.send(std::move(m));
+    coop::yield();
+    a_resumed = std::fegetround();
+    std::fesetround(FE_TONEAREST);
+  });
+  sched.add_task("b", [&] { in_b = std::fegetround(); });
+  // a runs and parks, b runs, the handler runs, a resumes.
+  Schedule order;
+  order.steps = {Choice{ChoiceKind::kStep, kNoNode, kNoNode, 0, "a"},
+                 Choice{ChoiceKind::kStep, kNoNode, kNoNode, 1, "b"},
+                 Choice{ChoiceKind::kDeliver, 0, 1, 0, "READ"},
+                 Choice{ChoiceKind::kStep, kNoNode, kNoNode, 0, "a"}};
+  ReplayStrategy replay(order);
+  const RunReport r = sched.run(replay);
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(replay.position(), order.steps.size());
+  EXPECT_EQ(a_parked, FE_UPWARD);
+  EXPECT_EQ(in_b, FE_TONEAREST);
+  EXPECT_EQ(in_handler, FE_TONEAREST);
+  EXPECT_EQ(a_resumed, FE_UPWARD);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
 }
 
 // State of the overflow death test, read by its SIGSEGV handler.
