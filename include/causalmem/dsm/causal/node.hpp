@@ -143,18 +143,20 @@ class CausalNode final : public SharedMemory {
  private:
   /// One memory cell: a value-writestamp pair plus the unique-write tag the
   /// paper assumes ("we assume all writes are unique").
+  /// The fields a read returns come first, so a hit touches one cache line
+  /// of the cell however large its stamp.
   struct Cell {
     Value value{kInitialValue};
-    VectorClock stamp;
     WriteTag tag{};
+    VectorClock stamp;
   };
 
   /// A cached sharing unit: all cells of the page plus the page writestamp
   /// used for invalidation comparisons.
   struct CachedPage {
     std::vector<Cell> cells;
-    VectorClock stamp;
     std::list<std::uint64_t>::iterator lru_it;
+    VectorClock stamp;
   };
 
   /// Where complete_pending leaves a blocking request's outcome. It lives

@@ -307,7 +307,7 @@ class DsmSystem {
           std::vector<std::vector<std::uint64_t>> out;
           out.reserve(nodes_.size());
           for (const auto& nd : nodes_) {
-            out.push_back(nd->vector_time().components());
+            nd->vector_time().to_dense(out.emplace_back());
           }
           return out;
         });

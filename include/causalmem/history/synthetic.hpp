@@ -21,6 +21,7 @@
 // differential-fuzz suite.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -62,6 +63,18 @@ struct SyntheticWorkload {
   std::vector<std::vector<Broadcast>> issued(w.procs);
   std::vector<std::vector<std::uint64_t>> applied(
       w.procs, std::vector<std::uint64_t>(w.procs, 0));
+  // Delivery attempts are the generator's whole cost at large process
+  // counts, so two indexes keep them from re-scanning what cannot change:
+  //  - waiting[q * words + p / 64] bit p is set while q has not applied all
+  //    of p's writes, so an attempt visits only peers with a head to test;
+  //  - unmet[q * procs + p] is the first dependency of that head found
+  //    unmet. Applied counts only grow, so every dependency before it stays
+  //    met and the next test resumes there.
+  // Both only skip work: the visiting order and every readiness answer are
+  // those of a full scan, so the history is the one a full scan produces.
+  const std::size_t words = (w.procs + 63) / 64;
+  std::vector<std::uint64_t> waiting(w.procs * words, 0);
+  std::vector<std::size_t> unmet(w.procs * w.procs, 0);
   struct Cell {
     Value value{kInitialValue};
     WriteTag tag{};
@@ -81,30 +94,46 @@ struct SyntheticWorkload {
   auto arb_newer = [](const Cell& cur, std::uint64_t lam, NodeId writer) {
     return lam > cur.lamport || (lam == cur.lamport && writer > cur.writer);
   };
+  // Applies q's next write from p if its dependencies are met.
+  auto try_apply = [&](std::size_t q, std::size_t p) {
+    const std::uint64_t i = applied[q][p];
+    const Broadcast& b = issued[p][i];
+    std::size_t& r = unmet[q * w.procs + p];
+    while (r < w.procs && (r == p || applied[q][r] >= b.deps[r])) ++r;
+    if (r < w.procs) return false;
+    r = 0;  // the next head is tested from the start
+    Cell& cur = store[q][b.addr];
+    if (arb_newer(cur, b.lamport, b.tag.writer)) {
+      cur = Cell{b.value, b.tag, b.lamport, b.tag.writer};
+    }
+    if (lamport[q] < b.lamport) lamport[q] = b.lamport;
+    applied[q][p] = i + 1;
+    if (i + 1 == issued[p].size()) {
+      waiting[q * words + p / 64] &= ~(std::uint64_t{1} << (p % 64));
+    }
+    return true;
+  };
   auto try_deliver = [&](std::size_t q) {
     // Apply at most one deliverable remote write, scanning peers from a
-    // random offset so delivery interleavings vary across seeds.
+    // random offset so delivery interleavings vary across seeds: the peers
+    // in [start, procs), then in [0, start).
     const std::size_t start = rng.next_below(w.procs);
-    for (std::size_t k = 0; k < w.procs; ++k) {
-      const std::size_t p = (start + k) % w.procs;
-      if (p == q) continue;
-      const std::uint64_t i = applied[q][p];
-      if (i >= issued[p].size()) continue;
-      const Broadcast& b = issued[p][i];
-      bool ready = true;
-      for (std::size_t r = 0; r < w.procs && ready; ++r) {
-        if (r != p) ready = applied[q][r] >= b.deps[r];
+    const std::uint64_t* bits = &waiting[q * words];
+    const auto scan = [&](std::size_t p, std::size_t end) {
+      while (p < end) {
+        const std::uint64_t word = bits[p / 64] >> (p % 64);
+        if (word == 0) {
+          p = (p / 64 + 1) * 64;
+          continue;
+        }
+        p += static_cast<std::size_t>(std::countr_zero(word));
+        if (p >= end) break;
+        if (try_apply(q, p)) return true;
+        ++p;
       }
-      if (!ready) continue;
-      Cell& cur = store[q][b.addr];
-      if (arb_newer(cur, b.lamport, b.tag.writer)) {
-        cur = Cell{b.value, b.tag, b.lamport, b.tag.writer};
-      }
-      if (lamport[q] < b.lamport) lamport[q] = b.lamport;
-      applied[q][p] = i + 1;
-      return true;
-    }
-    return false;
+      return false;
+    };
+    return scan(start, w.procs) || scan(0, start);
   };
 
   while (emitted < w.ops) {
@@ -126,6 +155,9 @@ struct SyntheticWorkload {
       b.deps[q] = issued[q].size();  // po: prior own writes are dependencies
       issued[q].push_back(std::move(b));
       applied[q][q] += 1;
+      for (std::size_t r = 0; r < w.procs; ++r) {
+        if (r != q) waiting[r * words + q / 64] |= std::uint64_t{1} << (q % 64);
+      }
       // Own writes always win: the incremented Lamport stamp exceeds every
       // stamp applied at q, including the current cell's.
       store[q][x] = Cell{op.value, op.tag, lam, static_cast<NodeId>(q)};

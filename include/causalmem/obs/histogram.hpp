@@ -1,8 +1,9 @@
 // Log-bucketed latency histogram, HDR-style: values are bucketed by power of
 // two (octave) with a fixed number of linear sub-buckets per octave, so the
 // worst-case relative quantization error is 1/kSubBuckets (~6%) at any
-// magnitude while the whole structure is a fixed ~8 KB array. Recording is
-// one relaxed fetch_add per sample — safe from any thread, never a
+// magnitude. A live Histogram allocates a 16-bucket row per octave only when
+// a sample first lands there; a snapshot is the full ~8 KB array. Recording
+// is one relaxed fetch_add per sample — safe from any thread, never a
 // synchronization point (same policy as NodeStats counters). Snapshots are
 // plain structs: mergeable across nodes/runs and queryable for percentiles.
 #pragma once
@@ -92,13 +93,28 @@ struct HistogramSnapshot {
   }
 };
 
-/// Live histogram: atomic counterpart of HistogramSnapshot. Fixed footprint,
-/// relaxed-atomic recording, resettable; read via snapshot().
+/// Live histogram: atomic counterpart of HistogramSnapshot, resettable,
+/// read via snapshot(). The buckets come in rows of kSubBuckets, one per
+/// octave, and a row is allocated (zeroed) by the first sample that lands in
+/// it: a latency metric typically spans a few octaves, so a histogram costs
+/// one pointer per row plus the rows in use instead of the whole ~8 KB
+/// bucket array. Recording adds one pointer load to the relaxed fetch_adds.
 class Histogram {
  public:
+  static constexpr std::size_t kRowCount =
+      HistogramSnapshot::kBucketCount / HistogramSnapshot::kSubBuckets;  // 61
+
+  Histogram() = default;
+  Histogram(const Histogram&) = delete;
+  Histogram& operator=(const Histogram&) = delete;
+  ~Histogram() {
+    for (auto& r : rows_) delete r.load(std::memory_order_relaxed);
+  }
+
   void record(std::uint64_t v) noexcept {
-    buckets_[HistogramSnapshot::bucket_index(v)].fetch_add(
-        1, std::memory_order_relaxed);
+    const std::size_t b = HistogramSnapshot::bucket_index(v);
+    row(b / HistogramSnapshot::kSubBuckets)[b % HistogramSnapshot::kSubBuckets]
+        .fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
     std::uint64_t cur = max_.load(std::memory_order_relaxed);
@@ -111,10 +127,16 @@ class Histogram {
     return count_.load(std::memory_order_relaxed);
   }
 
+  /// Rows no sample has reached read as zeros.
   [[nodiscard]] HistogramSnapshot snapshot() const noexcept {
     HistogramSnapshot s;
-    for (std::size_t i = 0; i < HistogramSnapshot::kBucketCount; ++i) {
-      s.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+    for (std::size_t r = 0; r < kRowCount; ++r) {
+      const Row* row = rows_[r].load(std::memory_order_acquire);
+      if (row == nullptr) continue;
+      for (std::size_t i = 0; i < HistogramSnapshot::kSubBuckets; ++i) {
+        s.buckets[r * HistogramSnapshot::kSubBuckets + i] =
+            (*row)[i].load(std::memory_order_relaxed);
+      }
     }
     s.count = count_.load(std::memory_order_relaxed);
     s.sum = sum_.load(std::memory_order_relaxed);
@@ -122,16 +144,45 @@ class Histogram {
     return s;
   }
 
+  /// Zeroes every row in place — rows are never freed before destruction,
+  /// so a concurrent record() always lands in live memory.
   void reset() noexcept {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+    for (auto& r : rows_) {
+      if (Row* row = r.load(std::memory_order_acquire)) {
+        for (auto& b : *row) b.store(0, std::memory_order_relaxed);
+      }
+    }
     count_.store(0, std::memory_order_relaxed);
     sum_.store(0, std::memory_order_relaxed);
     max_.store(0, std::memory_order_relaxed);
   }
 
  private:
-  std::array<std::atomic<std::uint64_t>, HistogramSnapshot::kBucketCount>
-      buckets_{};
+  using Row =
+      std::array<std::atomic<std::uint64_t>, HistogramSnapshot::kSubBuckets>;
+
+  Row& row(std::size_t r) noexcept {
+    if (Row* row = rows_[r].load(std::memory_order_acquire)) [[likely]] {
+      return *row;
+    }
+    return install_row(r);
+  }
+
+  /// First sample in row r: publishes a zeroed row. A recorder that loses
+  /// the race frees its row and uses the winner's.
+  [[gnu::noinline]] Row& install_row(std::size_t r) noexcept {
+    Row* fresh = new Row{};
+    Row* seen = nullptr;
+    if (rows_[r].compare_exchange_strong(seen, fresh,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+      return *fresh;
+    }
+    delete fresh;
+    return *seen;
+  }
+
+  std::array<std::atomic<Row*>, kRowCount> rows_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> max_{0};

@@ -177,7 +177,7 @@ class Tracer {
     s.ev.addr = addr;
     s.ev.trace_id = trace_id;
     if (vt != nullptr) {
-      s.ev.vclock = vt->components();
+      vt->to_dense(s.ev.vclock);
     } else {
       s.ev.vclock.clear();
     }

@@ -73,7 +73,7 @@ class SafeReader {
       (void)get(c);
       comps.push_back(c);
     }
-    out = VectorClock(std::move(comps));
+    out = VectorClock(comps);
     return ok_;
   }
 
@@ -103,8 +103,7 @@ inline void put_cell(ByteWriter& w, const DurableCell& c) {
   w.put(c.value);
   w.put(c.tag.writer);
   w.put(c.tag.seq);
-  w.put_count(c.stamp.size());
-  for (const std::uint64_t comp : c.stamp.components()) w.put(comp);
+  c.stamp.encode_dense(w);
 }
 
 }  // namespace causalmem::persist

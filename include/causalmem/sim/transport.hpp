@@ -4,13 +4,16 @@
 // SimScheduler asks for the set of non-empty channels (append_deliverable)
 // and pops exactly one head per chosen deliver event (deliver_one), running
 // the destination handler inline on the scheduler thread. Per-channel FIFO
-// is structural — a deque per directed channel — so the substrate the paper
-// assumes ("reliable, ordered message passing") holds on every schedule
-// while INTER-channel order is fully under the explorer's control. Only
-// channels with queued messages are stored, in an ordered map keyed by
-// from*n+to, so a step costs what is in flight, not n². Their deliver
+// is structural — a linked queue per directed channel — so the substrate
+// the paper assumes ("reliable, ordered message passing") holds on every
+// schedule while INTER-channel order is fully under the explorer's control.
+// Only channels with queued messages are stored, in a vector sorted by
+// (from, to), so a step costs what is in flight, not n². Their deliver
 // choices are kept beside them as channels fill and drain, so offering them
-// is one copy.
+// is one copy. Queued messages sit in pooled slots that are recycled as
+// messages come and go, and the pool's storage passes to the next
+// transport built on the same thread, so queueing a message allocates
+// nothing once the pool has grown to the peak number in flight.
 //
 // Crash / partition semantics mirror FaultyTransport so the PR-3 failover
 // path behaves identically under simulation: sends from or to a crashed
@@ -33,8 +36,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -61,10 +62,14 @@ class SimTransport final : public Transport {
         epochs_(n, 0) {
     CM_EXPECTS(n > 0);
     CM_EXPECTS(sched != nullptr);
+    slots_.swap(spare_slots());
     sched->attach_transport(this);
   }
 
-  ~SimTransport() override { shutdown(); }
+  ~SimTransport() override {
+    shutdown();
+    slots_.swap(spare_slots());  // emptied, capacity kept for the next run
+  }
 
   // Transport ------------------------------------------------------------
   void register_node(NodeId id, Handler handler) override {
@@ -103,13 +108,22 @@ class SimTransport final : public Transport {
       return;
     }
     trace_msg(m.from, obs::TraceEventKind::kSend, m);
-    std::deque<Message>& q = channels_[m.from * n + m.to];
-    if (q.empty()) {
-      deliverable_.insert(deliverable_at(m.from, m.to),
-                          Choice{ChoiceKind::kDeliver, m.from, m.to, 0,
-                                 msg_type_name(m.type)});
+    const std::size_t pos = channel_at(m.from, m.to);
+    const bool fresh = !holds_channel(pos, m.from, m.to);
+    if (fresh) {
+      deliverable_.insert(
+          deliverable_.begin() + static_cast<std::ptrdiff_t>(pos),
+          Choice{ChoiceKind::kDeliver, m.from, m.to, 0, msg_type_name(m.type)});
     }
-    q.push_back(std::move(m));
+    const std::uint32_t slot = take_slot();
+    slots_[slot].msg = std::move(m);
+    if (fresh) {
+      queues_.insert(queues_.begin() + static_cast<std::ptrdiff_t>(pos),
+                     Queue{slot, slot});
+    } else {
+      slots_[queues_[pos].tail].next = slot;
+      queues_[pos].tail = slot;
+    }
     ++pending_;
   }
 
@@ -118,8 +132,10 @@ class SimTransport final : public Transport {
     stopped_ = true;
     // Drop undelivered messages silently: receivers are quiescing, same as
     // InMemTransport::shutdown.
-    channels_.clear();
+    queues_.clear();
     deliverable_.clear();
+    slots_.clear();
+    free_slot_ = kNoSlot;
     pending_ = 0;
   }
 
@@ -144,20 +160,28 @@ class SimTransport final : public Transport {
     CM_EXPECTS(id < endpoints_.size());
     crashed_[id] = 1;
     ++epochs_[id];
-    const std::size_t n = endpoints_.size();
-    // Key order is (from, to) order, so drops are counted and traced in the
-    // same order on every run.
-    for (auto it = channels_.begin(); it != channels_.end();) {
-      if (it->first / n != id && it->first % n != id) {
-        ++it;
+    // Channels are kept in (from, to) order, so drops are counted and traced
+    // in the same order on every run. Surviving channels are compacted in
+    // place.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < queues_.size(); ++i) {
+      if (deliverable_[i].from != id && deliverable_[i].to != id) {
+        queues_[kept] = queues_[i];
+        deliverable_[kept] = deliverable_[i];
+        ++kept;
         continue;
       }
-      for (const Message& m : it->second) drop(m);
-      pending_ -= it->second.size();
-      deliverable_.erase(deliverable_at(static_cast<NodeId>(it->first / n),
-                                        static_cast<NodeId>(it->first % n)));
-      it = channels_.erase(it);
+      for (std::uint32_t s = queues_[i].head; s != kNoSlot;) {
+        const Message dropped = std::move(slots_[s].msg);
+        drop(dropped);
+        --pending_;
+        const std::uint32_t next = slots_[s].next;
+        give_back_slot(s);
+        s = next;
+      }
     }
+    queues_.resize(kept);
+    deliverable_.resize(kept);
   }
 
   /// Lifts a crash_node(id). Protocol state is NOT touched — the node must
@@ -202,16 +226,20 @@ class SimTransport final : public Transport {
   void deliver_one(NodeId from, NodeId to) {
     const std::size_t n = endpoints_.size();
     CM_EXPECTS(from < n && to < n);
-    const auto it = channels_.find(from * n + to);
-    CM_EXPECTS_MSG(it != channels_.end(), "deliver_one on empty channel");
-    Message m = std::move(it->second.front());
-    it->second.pop_front();
-    const auto choice = deliverable_at(from, to);
-    if (it->second.empty()) {
-      channels_.erase(it);
-      deliverable_.erase(choice);
+    const std::size_t pos = channel_at(from, to);
+    CM_EXPECTS_MSG(holds_channel(pos, from, to),
+                   "deliver_one on empty channel");
+    Queue& q = queues_[pos];
+    const std::uint32_t s = q.head;
+    Message m = std::move(slots_[s].msg);
+    q.head = slots_[s].next;
+    give_back_slot(s);
+    if (q.head == kNoSlot) {
+      queues_.erase(queues_.begin() + static_cast<std::ptrdiff_t>(pos));
+      deliverable_.erase(deliverable_.begin() +
+                         static_cast<std::ptrdiff_t>(pos));
     } else {
-      choice->label = msg_type_name(it->second.front().type);
+      deliverable_[pos].label = msg_type_name(slots_[q.head].msg.type);
     }
     --pending_;
     trace_msg(m.to, obs::TraceEventKind::kRecv, m);
@@ -226,13 +254,57 @@ class SimTransport final : public Transport {
     trace_msg(m.from, obs::TraceEventKind::kFaultDrop, m);
   }
 
-  /// deliverable_'s choice for channel from->to, or where it belongs.
-  std::vector<Choice>::iterator deliverable_at(NodeId from, NodeId to) {
-    return std::lower_bound(deliverable_.begin(), deliverable_.end(),
-                            std::pair{from, to},
-                            [](const Choice& c, std::pair<NodeId, NodeId> k) {
-                              return std::pair{c.from, c.to} < k;
-                            });
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+  /// One queued message and the next slot of its channel (or of the free
+  /// list).
+  struct Slot {
+    Message msg;
+    std::uint32_t next{kNoSlot};
+  };
+
+  /// A non-empty channel's FIFO: its first and last slots.
+  struct Queue {
+    std::uint32_t head;
+    std::uint32_t tail;
+  };
+
+  /// Where channel from->to is (or belongs) in deliverable_ and queues_.
+  [[nodiscard]] std::size_t channel_at(NodeId from, NodeId to) const {
+    const auto it = std::lower_bound(
+        deliverable_.begin(), deliverable_.end(), std::pair{from, to},
+        [](const Choice& c, std::pair<NodeId, NodeId> k) {
+          return std::pair{c.from, c.to} < k;
+        });
+    return static_cast<std::size_t>(it - deliverable_.begin());
+  }
+
+  [[nodiscard]] bool holds_channel(std::size_t pos, NodeId from,
+                                   NodeId to) const {
+    return pos < deliverable_.size() && deliverable_[pos].from == from &&
+           deliverable_[pos].to == to;
+  }
+
+  std::uint32_t take_slot() {
+    if (free_slot_ == kNoSlot) {
+      slots_.emplace_back();
+      return static_cast<std::uint32_t>(slots_.size() - 1);
+    }
+    const std::uint32_t s = free_slot_;
+    free_slot_ = slots_[s].next;
+    slots_[s].next = kNoSlot;
+    return s;
+  }
+
+  void give_back_slot(std::uint32_t s) {
+    slots_[s].next = free_slot_;
+    free_slot_ = s;
+  }
+
+  /// Slot storage left by the last transport destroyed on this thread.
+  static std::vector<Slot>& spare_slots() {
+    thread_local std::vector<Slot> spare;
+    return spare;
   }
 
   /// Per directed channel: clock-delta baselines + recycled decode target.
@@ -244,12 +316,15 @@ class SimTransport final : public Transport {
 
   bool exercise_codec_;
   std::vector<Handler> endpoints_;
-  /// Non-empty channels only, keyed by from*n+to: key order is (from, to)
-  /// order, and a channel is erased when its last message leaves.
-  std::map<std::size_t, std::deque<Message>> channels_;
-  /// One deliver choice per entry of channels_, in the same order, labelled
-  /// with the channel head's type.
+  /// One deliver choice per non-empty channel, in (from, to) order,
+  /// labelled with the channel head's type. A channel is removed when its
+  /// last message leaves.
   std::vector<Choice> deliverable_;
+  /// The queue of each channel in deliverable_, at the same position.
+  std::vector<Queue> queues_;
+  /// Every queued message, plus free slots chained from free_slot_.
+  std::vector<Slot> slots_;
+  std::uint32_t free_slot_{kNoSlot};
   std::vector<CodecState> codec_;      // n*n when exercising, else 0
   std::vector<std::uint8_t> blocked_;  // n*n, directed
   std::vector<std::uint8_t> crashed_;

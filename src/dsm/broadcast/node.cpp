@@ -75,7 +75,7 @@ void BroadcastNode::write(Addr x, Value v) {
     m.addr = x;
     m.value = v;
     m.tag = tag;
-    m.stamp = VectorClock(std::vector<std::uint64_t>(delivered_));
+    m.stamp = VectorClock(delivered_);
     m.trace_id = tid;  // every fan-out copy carries the write's flow id
   }
   applied_cv_.notify_all();
@@ -142,9 +142,10 @@ bool BroadcastNode::deliverable(const Message& m) const {
   // ISIS-style rule: next-in-sequence from the sender, and we have already
   // delivered every write the sender had delivered when it sent.
   if (m.stamp[sender] != delivered_[sender] + 1) return false;
-  for (NodeId k = 0; k < n_; ++k) {
-    if (k == sender) continue;
-    if (m.stamp[k] > delivered_[k]) return false;
+  for (VectorClock::NonzeroCursor c(m.stamp); !c.done(); c.next()) {
+    if (c.index() != sender && c.value() > delivered_[c.index()]) {
+      return false;
+    }
   }
   return true;
 }

@@ -715,10 +715,10 @@ void CausalNode::complete_pending(const Message& m) {
     // duplicate): log the standing cell the owner reported, never a value
     // that exists nowhere — the recovery log feeds elections.
     if (m.cells.empty()) {
-      log_observe(m.addr, Cell{m.value, m.stamp, m.tag});
+      log_observe(m.addr, Cell{m.value, m.tag, m.stamp});
     } else {
-      log_observe(m.addr, Cell{m.cells.front().value, m.stamp,
-                               m.cells.front().tag});
+      log_observe(m.addr, Cell{m.cells.front().value, m.cells.front().tag,
+                               m.stamp});
     }
     pending_.erase(it);
     CM_ASSERT(outstanding_async_ > 0);
@@ -749,7 +749,7 @@ void CausalNode::complete_pending(const Message& m) {
     cp.stamp = m.stamp;
     cp.cells.reserve(cfg_.page_size);
     for (const CellUpdate& cell : m.cells) {
-      cp.cells.push_back(Cell{cell.value, m.stamp, cell.tag});
+      cp.cells.push_back(Cell{cell.value, cell.tag, m.stamp});
     }
     const Cell chosen = cp.cells[m.addr - page_base(pg)];
     log_observe(m.addr, chosen);
@@ -763,12 +763,7 @@ void CausalNode::complete_pending(const Message& m) {
     // should have dropped it. Returning the value is still safe (it was
     // ordered before those installs at the owner and this thread observed
     // nothing in between), but the copy must not be CACHED.
-    bool serve_stale = false;
-    for (std::size_t k = 0; k < n_; ++k) {
-      if (served_merges_[k] > std::max(serve_snapshot[k], m.stamp[k])) {
-        serve_stale = true;
-      }
-    }
+    const bool serve_stale = !served_merges_.leq_join(serve_snapshot, m.stamp);
     if (!cfg_.read_through) {
       if (serve_stale) {
         // Sweep with no exemption — the pre-existing copy of pg (if any)
@@ -814,10 +809,10 @@ void CausalNode::complete_pending(const Message& m) {
       // recognized but not installed): the recovery log must record what
       // exists, not what was shadowed.
       if (m.cells.empty()) {
-        log_observe(m.addr, Cell{m.value, m.stamp, m.tag});
+        log_observe(m.addr, Cell{m.value, m.tag, m.stamp});
       } else {
-        log_observe(m.addr, Cell{m.cells.front().value, m.stamp,
-                                 m.cells.front().tag});
+        log_observe(m.addr, Cell{m.cells.front().value, m.cells.front().tag,
+                                 m.stamp});
       }
     } else {
       // Owner-wins resolution rejected the write: drop the local copy (if
@@ -828,8 +823,8 @@ void CausalNode::complete_pending(const Message& m) {
       // The favored value the owner reported is certified state we have
       // now observed — election material like any other reply.
       if (!m.cells.empty()) {
-        log_observe(m.addr, Cell{m.cells.front().value, m.stamp,
-                                 m.cells.front().tag});
+        log_observe(m.addr, Cell{m.cells.front().value, m.cells.front().tag,
+                                 m.stamp});
       }
     }
   }
@@ -1011,7 +1006,7 @@ void CausalNode::on_recover_reply(const Message& m) {
   rec.expected.erase(m.from);
   if (m.accepted &&
       (!rec.has_candidate || fresher_stamp(m.stamp, rec.best.stamp))) {
-    rec.best = Cell{m.value, m.stamp, m.tag};
+    rec.best = Cell{m.value, m.tag, m.stamp};
     rec.has_candidate = true;
   }
   if (rec.expected.empty()) finish_recovery(pg, lock);
@@ -1203,10 +1198,10 @@ bool CausalNode::rejoin() {
           // authoritative now. The durable copy still seeds the observation
           // log: if the successor dies before anyone re-reads the page, the
           // next election can be won from here instead of losing the data.
-          log_observe(dc.addr, Cell{dc.value, dc.stamp, dc.tag});
+          log_observe(dc.addr, Cell{dc.value, dc.tag, dc.stamp});
           continue;
         }
-        Cell restored{dc.value, std::move(dc.stamp), dc.tag};
+        Cell restored{dc.value, dc.tag, std::move(dc.stamp)};
         log_observe(dc.addr, restored);
         owned_[dc.addr] = std::move(restored);
         if (failover_->base_owner(page_base(pg)) != id_) {
@@ -1263,7 +1258,7 @@ CausalNode::Cell& CausalNode::owned_cell(Addr x) {
   auto it = owned_.find(x);
   if (it == owned_.end()) {
     it = owned_
-             .try_emplace(x, Cell{kInitialValue, VectorClock(n_), WriteTag{}})
+             .try_emplace(x, Cell{kInitialValue, WriteTag{}, VectorClock(n_)})
              .first;
   }
   return it->second;
@@ -1308,7 +1303,7 @@ void CausalNode::cache_own_write(Addr x, Value v, const WriteTag& tag,
     // uncached written page stays uncached until the next read miss.
     CachedPage cp;
     cp.stamp = stamp;
-    cp.cells.push_back(Cell{v, stamp, tag});
+    cp.cells.push_back(Cell{v, tag, stamp});
     install_page(pg, std::move(cp));
     evict_over_capacity();
   }

@@ -1,7 +1,6 @@
 #include "causalmem/dsm/failover.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "causalmem/common/expect.hpp"
 #include "causalmem/common/logging.hpp"
@@ -22,13 +21,28 @@ bool fresher_stamp(const VectorClock& a, const VectorClock& b) {
       break;
   }
   const auto sum = [](const VectorClock& v) {
-    const auto& c = v.components();
-    return std::accumulate(c.begin(), c.end(), std::uint64_t{0});
+    std::uint64_t s = 0;
+    for (VectorClock::NonzeroCursor c(v); !c.done(); c.next()) s += c.value();
+    return s;
   };
   const std::uint64_t sa = sum(a);
   const std::uint64_t sb = sum(b);
   if (sa != sb) return sa > sb;
-  return a.components() > b.components();
+  // Lexicographic over the components: the first index where the two
+  // differ decides. Walking the nonzero ones, that is the first position
+  // where the two walks part; a clock with no nonzero left there holds a
+  // zero at the other's index.
+  VectorClock::NonzeroCursor ca(a);
+  VectorClock::NonzeroCursor cb(b);
+  while (!ca.done() && !cb.done() && ca.index() == cb.index() &&
+         ca.value() == cb.value()) {
+    ca.next();
+    cb.next();
+  }
+  if (ca.done()) return false;  // equal, or b is nonzero where a is zero
+  if (cb.done()) return true;
+  if (ca.index() != cb.index()) return ca.index() < cb.index();
+  return ca.value() > cb.value();
 }
 
 FailoverDirectory::FailoverDirectory(std::unique_ptr<Ownership> base,

@@ -12,8 +12,7 @@ bool save_checkpoint(Vfs& vfs, const std::string& path,
   w.put(data.node);
   w.put(static_cast<std::uint32_t>(n));
   w.put(data.write_seq);
-  w.put_count(data.vt.size());
-  for (const std::uint64_t comp : data.vt.components()) w.put(comp);
+  data.vt.encode_dense(w);
   w.put_count(data.cells.size());
   for (const DurableCell& c : data.cells) put_cell(w, c);
   w.put(crc32(w.bytes()));

@@ -166,7 +166,9 @@ TEST(FlatHashMapTest, AgreesWithUnorderedMapUnderRandomOps) {
         auto fit = flat.find(key);
         auto rit = ref.find(key);
         ASSERT_EQ(fit == flat.end(), rit == ref.end());
-        if (rit != ref.end()) EXPECT_EQ(fit->second, rit->second);
+        if (rit != ref.end()) {
+          EXPECT_EQ(fit->second, rit->second);
+        }
         break;
       }
     }

@@ -353,6 +353,37 @@ TEST(StreamingChecker, GcCollectsExactlyWhatItCollected) {
   }
 }
 
+TEST(StreamingChecker, SyntheticHistoryIsPinnedByDigest) {
+  // The generator skips re-testing what cannot have changed; its output
+  // must stay the history a full scan of every peer and dependency
+  // produces. The digest was recorded from that full-scan generator.
+  SyntheticWorkload w;
+  w.procs = 256;
+  w.addrs = 64;
+  w.ops = 8'000;
+  w.deliver_ratio = 0.8;
+  const History h = make_synthetic_causal_history(w, /*seed=*/8'041);
+  std::uint64_t digest = 14695981039346656037ULL;  // FNV-1a, byte by byte
+  const auto mix = [&digest](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      digest ^= (v >> (8 * i)) & 0xff;
+      digest *= 1099511628211ULL;
+    }
+  };
+  for (const auto& seq : h.per_process) {
+    mix(seq.size());
+    for (const Operation& op : seq) {
+      mix(static_cast<std::uint64_t>(op.kind));
+      mix(op.proc);
+      mix(op.addr);
+      mix(op.value);
+      mix(op.tag.writer);
+      mix(op.tag.seq);
+    }
+  }
+  EXPECT_EQ(digest, 0x3ac3f3d4578a2073ULL);
+}
+
 TEST(StreamingChecker, ReadOfTombstonedWriteIsStale) {
   // Build a chain where w(x,1) is overwritten and fully dominated, then a
   // late read returns it: the tombstone path must classify it as stale.

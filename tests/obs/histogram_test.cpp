@@ -1,12 +1,18 @@
 // Log-bucketed histogram: bucket-boundary math, merge, and percentile
-// semantics (bucket upper bound, clamped to the exact tracked max).
+// semantics (bucket upper bound, clamped to the exact tracked max), and
+// the live histogram's rows allocated on first use.
 #include "causalmem/obs/histogram.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <thread>
 #include <vector>
+
+#include "causalmem/common/rng.hpp"
+#include "causalmem/stats/counters.hpp"
 
 namespace causalmem::obs {
 namespace {
@@ -136,6 +142,103 @@ TEST(Histogram, ConcurrentRecordLosesNothing) {
   std::uint64_t bucket_total = 0;
   for (const auto c : s.buckets) bucket_total += c;
   EXPECT_EQ(bucket_total, s.count);
+}
+
+// Rows on demand --------------------------------------------------------
+
+/// Samples that reach every octave: the linear range's edges, every power
+/// of two and its neighbours, UINT64_MAX, and random values of every bit
+/// width.
+std::vector<std::uint64_t> samples_across_octaves() {
+  std::vector<std::uint64_t> v = {0, 1, 15, 16, 17, UINT64_MAX, UINT64_MAX - 1};
+  for (int k = 1; k < 64; ++k) {
+    const std::uint64_t p = std::uint64_t{1} << k;
+    v.insert(v.end(), {p - 1, p, p + 1});
+  }
+  Rng rng(25);
+  for (int i = 0; i < 4000; ++i) {
+    const int width = static_cast<int>(rng.next_below(65));
+    v.push_back(width == 0 ? 0 : rng.next() >> (64 - width));
+  }
+  return v;
+}
+
+TEST(HistogramRows, SnapshotMatchesAFlatReference) {
+  Histogram h;
+  std::array<std::uint64_t, S::kBucketCount> flat{};
+  std::uint64_t sum = 0;
+  std::uint64_t max = 0;
+  const auto samples = samples_across_octaves();
+  for (const std::uint64_t v : samples) {
+    h.record(v);
+    ++flat[S::bucket_index(v)];
+    sum += v;
+    max = std::max(max, v);
+  }
+  const S s = h.snapshot();
+  for (std::size_t i = 0; i < S::kBucketCount; ++i) {
+    ASSERT_EQ(s.buckets[i], flat[i]) << "bucket " << i;
+  }
+  EXPECT_EQ(s.count, samples.size());
+  EXPECT_EQ(s.sum, sum);  // wraps identically
+  EXPECT_EQ(s.max, max);
+}
+
+TEST(HistogramRows, UntouchedRowsReadAsZero) {
+  Histogram h;
+  h.record(1'000'000);  // one row in the middle of the range
+  const S s = h.snapshot();
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < S::kBucketCount; ++i) {
+    if (i != S::bucket_index(1'000'000)) total += s.buckets[i];
+  }
+  EXPECT_EQ(total, 0u);
+  EXPECT_EQ(s.buckets[S::bucket_index(1'000'000)], 1u);
+}
+
+TEST(HistogramRows, ResetZeroesEveryRowAndRecordingResumes) {
+  Histogram h;
+  for (const std::uint64_t v : samples_across_octaves()) h.record(v);
+  h.reset();
+  const S cleared = h.snapshot();
+  for (const auto c : cleared.buckets) ASSERT_EQ(c, 0u);
+  EXPECT_EQ(cleared.count, 0u);
+  EXPECT_EQ(cleared.sum, 0u);
+  EXPECT_EQ(cleared.max, 0u);
+  h.record(17);
+  const S again = h.snapshot();
+  EXPECT_EQ(again.count, 1u);
+  EXPECT_EQ(again.buckets[S::bucket_index(17)], 1u);
+}
+
+TEST(HistogramRows, ConcurrentFirstSamplesInstallEachRowOnce) {
+  // Four threads record the same values at once, so every row is first
+  // touched by several of them: the losers' rows must be discarded without
+  // losing a single count.
+  Histogram h;
+  const auto samples = samples_across_octaves();
+  constexpr int kThreads = 4;
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&h, &samples] {
+        for (const std::uint64_t v : samples) h.record(v);
+      });
+    }
+  }
+  std::array<std::uint64_t, S::kBucketCount> flat{};
+  for (const std::uint64_t v : samples) flat[S::bucket_index(v)] += kThreads;
+  const S s = h.snapshot();
+  EXPECT_EQ(s.count, kThreads * samples.size());
+  for (std::size_t i = 0; i < S::kBucketCount; ++i) {
+    ASSERT_EQ(s.buckets[i], flat[i]) << "bucket " << i;
+  }
+}
+
+TEST(HistogramRows, NodeStatsStaysSmall) {
+  // A node's four latency histograms cost pointers until they record, so
+  // building a 256-node system does not zero-fill megabytes.
+  EXPECT_LT(sizeof(NodeStats), 4096u);
 }
 
 }  // namespace
