@@ -9,8 +9,10 @@
 
 #include <chrono>
 #include <cstdint>
+#include <string>
 
 #include "causalmem/sim/scenarios.hpp"
+#include "pinned_schedule.hpp"
 
 namespace causalmem::sim {
 namespace {
@@ -218,6 +220,67 @@ TEST(PersistChaos, LostDiskEpochReElectsInsteadOfRollingBackInVirtualTime) {
     EXPECT_GE(stats[Counter::kFoRecoverRequest], 1u) << "seed " << seed;
     EXPECT_GE(stats[Counter::kFoRecoverCopy], 1u) << "seed " << seed;
   }
+}
+
+/// The run's persist.* and fo.* totals, one "name=value" line each, zeros
+/// included, in counter order.
+std::string recovery_totals(const ScenarioOutcome& out) {
+  std::string text;
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    const auto c = static_cast<Counter>(i);
+    const std::string name = counter_name(c);
+    if (name.starts_with("persist.") || name.starts_with("fo.")) {
+      text += name + "=" + std::to_string(out.totals[c]) + "\n";
+    }
+  }
+  return text;
+}
+
+// The two pins below replay WAL recovery and lost-disk re-election from
+// committed schedules, so a change to either path that alters a choice, a
+// verdict or a recovery counter fails here instead of merely rerunning
+// identically within one build.
+
+TEST(PersistChaos, DiskRecoveryPinReplaysWithItsCounters) {
+  ScenarioOutcome out;
+  run_pinned("persist_disk_recovery", disk_chaos_config(), 5, &out);
+  EXPECT_EQ(recovery_totals(out),
+            "fo.suspect=0\n"
+            "fo.failover=0\n"
+            "fo.recover_request=0\n"
+            "fo.recover_reply=0\n"
+            "fo.recover_copy=0\n"
+            "fo.sync_request=2\n"
+            "fo.sync_reply=2\n"
+            "fo.request_timeout=0\n"
+            "fo.unreachable=0\n"
+            "persist.wal_append=4\n"
+            "persist.wal_replayed=0\n"
+            "persist.wal_truncated=0\n"
+            "persist.checkpoint=2\n"
+            "persist.ckpt_rejected=0\n"
+            "persist.restored_cells=1\n");
+}
+
+TEST(PersistChaos, LostDiskEpochPinReplaysWithItsCounters) {
+  ScenarioOutcome out;
+  run_pinned("persist_lost_disk_epoch", lost_disk_epoch_config(), 1, &out);
+  EXPECT_EQ(recovery_totals(out),
+            "fo.suspect=0\n"
+            "fo.failover=0\n"
+            "fo.recover_request=1\n"
+            "fo.recover_reply=1\n"
+            "fo.recover_copy=1\n"
+            "fo.sync_request=1\n"
+            "fo.sync_reply=1\n"
+            "fo.request_timeout=0\n"
+            "fo.unreachable=0\n"
+            "persist.wal_append=2\n"
+            "persist.wal_replayed=0\n"
+            "persist.wal_truncated=0\n"
+            "persist.checkpoint=0\n"
+            "persist.ckpt_rejected=0\n"
+            "persist.restored_cells=0\n");
 }
 
 }  // namespace

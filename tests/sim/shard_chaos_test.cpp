@@ -20,29 +20,15 @@
 //                              clean.
 //
 // The schedules under tests/sim/schedules/ were produced by this file
-// itself: run with CAUSALMEM_REGEN_SCHEDULES=1 to re-record them (after an
-// intentional protocol change alters the choice sequence), then commit the
-// diff. Normal runs replay the committed artifact by content — any
-// divergence fails the run with a diagnosis, which is exactly the point:
-// these are regression pins, not random walks.
+// itself (see pinned_schedule.hpp for replay and re-recording).
 #include <gtest/gtest.h>
-
-#include <cstdlib>
-#include <string>
 
 #include "causalmem/dsm/sharding.hpp"
 #include "causalmem/sim/scenarios.hpp"
-
-#ifndef CAUSALMEM_SCHEDULE_DIR
-#define CAUSALMEM_SCHEDULE_DIR "tests/sim/schedules"
-#endif
+#include "pinned_schedule.hpp"
 
 namespace causalmem::sim {
 namespace {
-
-std::string schedule_path(const std::string& name) {
-  return std::string(CAUSALMEM_SCHEDULE_DIR) + "/" + name + ".schedule";
-}
 
 /// Shared scaffolding for all three scenarios: 4 nodes, hash-ring
 /// ownership, copysets + push invalidation with a tiny batch cap (so
@@ -161,36 +147,6 @@ CausalScenarioConfig partition_across_shard() {
       ChaosEvent::heal(500'000, owner, client),
   };
   return cfg;
-}
-
-void run_pinned(const std::string& name, const CausalScenarioConfig& cfg,
-                std::uint64_t regen_seed) {
-  const std::string path = schedule_path(name);
-  if (std::getenv("CAUSALMEM_REGEN_SCHEDULES") != nullptr) {
-    RandomWalkStrategy walk(regen_seed);
-    const ExecutionResult res = run_causal_scenario(cfg, walk);
-    ASSERT_TRUE(res.report.ok()) << name << ": " << res.report.error;
-    ASSERT_TRUE(res.consistent) << name << ": " << res.violation;
-    Schedule sched = res.report.schedule;
-    sched.set_meta("scenario", name);
-    sched.set_meta("seed", std::to_string(regen_seed));
-    std::string err;
-    ASSERT_TRUE(sched.save(path, &err)) << err;
-    GTEST_LOG_(INFO) << "re-recorded " << path << " (" << sched.steps.size()
-                     << " steps)";
-    return;
-  }
-  std::string err;
-  const std::optional<Schedule> sched = Schedule::load(path, &err);
-  ASSERT_TRUE(sched.has_value())
-      << path << ": " << err
-      << " (regenerate with CAUSALMEM_REGEN_SCHEDULES=1)";
-  ReplayStrategy replay(*sched);
-  const ExecutionResult res = run_causal_scenario(cfg, replay);
-  ASSERT_TRUE(res.report.ok())
-      << name << " diverged from its committed schedule: "
-      << res.report.error;
-  ASSERT_TRUE(res.consistent) << name << ": " << res.violation;
 }
 
 TEST(ShardChaos, OwnerCrashMidInvalidationBatchReplaysClean) {
