@@ -19,6 +19,9 @@
 // paper's "each operation must be executed atomically and owners must
 // fairly alternate between issuing reads and writes and responding to READ
 // and WRITE messages".
+//
+// Crash tolerance lives beside this core, in CausalRecovery
+// (causal/recovery.hpp); a node without failover holds none of its state.
 #pragma once
 
 #include <condition_variable>
@@ -33,7 +36,6 @@
 #include "causalmem/common/coop.hpp"
 #include "causalmem/common/flat_hash_map.hpp"
 #include "causalmem/dsm/causal/config.hpp"
-#include "causalmem/dsm/failover.hpp"
 #include "causalmem/dsm/memory.hpp"
 #include "causalmem/dsm/observer.hpp"
 #include "causalmem/dsm/ownership.hpp"
@@ -43,28 +45,27 @@
 
 namespace causalmem {
 
-namespace persist {
-class Store;
-}
+class CausalRecovery;
 
 class CausalNode final : public SharedMemory {
  public:
   using Config = CausalConfig;
 
-
   /// `ownership` and `transport` must outlive the node. The node registers
   /// its message handler with the transport; call transport.start() after
-  /// all nodes are constructed.
+  /// all nodes are constructed. `recovery` (null without failover) must
+  /// outlive the node; DsmSystem builds it.
   CausalNode(NodeId id, std::size_t n, const Ownership& ownership,
              Transport& transport, NodeStats& stats, CausalConfig config,
-             OpObserver* observer = nullptr);
+             OpObserver* observer = nullptr,
+             CausalRecovery* recovery = nullptr);
 
   // SharedMemory API -------------------------------------------------------
   [[nodiscard]] Value read(Addr x) override;
   void write(Addr x, Value v) override;
   bool discard(Addr x) override;
 
-  // Crash tolerance --------------------------------------------------------
+  // Request deadlines ------------------------------------------------------
 
   /// Deadline-bounded read: like read(), but with CausalConfig::
   /// request_timeout set, an owner round trip that expires is retried
@@ -80,41 +81,6 @@ class CausalNode final : public SharedMemory {
   /// never have landed.
   OpStatus try_write(Addr x, Value v);
 
-  /// Enables directory-driven crash tolerance. `dir` must be the same
-  /// object the node's Ownership reference resolves through (DsmSystem
-  /// guarantees this) and must outlive the node. Requires page_size == 1
-  /// (recovery elects per-location freshest copies). Call before the
-  /// transport starts.
-  void attach_failover(FailoverDirectory* dir);
-
-  /// Attaches durable storage (checkpoint + WAL; see docs/PERSISTENCE.md).
-  /// Every owner apply point then appends one WAL record before the write's
-  /// reply leaves, and rejoin() restores the owned cells from disk instead
-  /// of keeping them in memory across the crash. `store` must outlive the
-  /// node. Call before the transport starts.
-  void attach_persist(persist::Store* store);
-
-  /// Takes an asynchronous uncoordinated checkpoint of the owned cells +
-  /// vector clock right now (the periodic trigger is
-  /// PersistConfig::checkpoint_every WAL appends). Returns false without a
-  /// store or on I/O failure.
-  bool checkpoint_now();
-
-  /// Restart protocol for a node whose transport just un-crashed: drops all
-  /// volatile protocol state (cache, recovery log, pending bookkeeping —
-  /// write_seq_ survives as this node's stable write counter, keeping write
-  /// tags unique across incarnations), rebuilds the vector clock, and
-  /// resyncs it from every live peer. Returns true when every live peer
-  /// answered within the request deadline. Requires attach_failover.
-  ///
-  /// With a persist::Store attached the crash is honest: the owned cells do
-  /// NOT survive in memory — they are reloaded from checkpoint + WAL
-  /// (complete for every acknowledged write under sync_every_append), and
-  /// recovery elections for restored pages are seeded with the restored
-  /// copy, so peers send only what they observed fresher. When the disk is
-  /// gone too, every page this node serves must first win a peer election,
-  /// exactly as if the page had migrated.
-  bool rejoin();
   [[nodiscard]] bool owns(Addr x) const override;
   void flush() override;
   [[nodiscard]] NodeId node_id() const override { return id_; }
@@ -141,6 +107,8 @@ class CausalNode final : public SharedMemory {
   [[nodiscard]] std::size_t cached_page_count() const;
 
  private:
+  friend class CausalRecovery;
+
   /// One memory cell: a value-writestamp pair plus the unique-write tag the
   /// paper assumes ("we assume all writes are unique").
   /// The fields a read returns come first, so a hit touches one cache line
@@ -197,33 +165,10 @@ class CausalNode final : public SharedMemory {
   void serve_read(const Message& m);
   void serve_write(const Message& m);
   void complete_pending(const Message& m);
-  void serve_sync(const Message& m);
-  /// Answers a RECOVER poll from the observation journal: a copy when the
-  /// request carries no stamp or when the journal's copy beats it under
-  /// fresher_stamp, else a payload-free "nothing fresher".
-  void serve_recover(const Message& m);
-  void on_recover_reply(const Message& m);
 
-  /// True when this node may serve/read the page from its own owned_ cells:
-  /// always without failover; with failover, when it is the page's static
-  /// owner or has finished the page's recovery election. Caller holds mu_.
-  [[nodiscard]] bool page_ready_locally(std::uint64_t pg) const;
-
-  /// Queues `m` (a READ or WRITE this node now owns but has not recovered)
-  /// behind the page's writestamp-max election, starting the election on
-  /// first demand. Consumes `lock` (the election may complete inline and
-  /// dispatch deferred messages outside the mutex).
-  void begin_or_join_recovery(std::uint64_t pg, const Message& m,
-                              std::unique_lock<std::mutex>& lock);
-
-  /// Installs the election winner as the owned cell, marks the page
-  /// recovered and replays the deferred requests. Consumes `lock`.
-  void finish_recovery(std::uint64_t pg, std::unique_lock<std::mutex>& lock);
-
-  /// Folds an observed remote cell into the monotone freshest-copy shadow
-  /// map that recovery elections draw from. No-op without failover (the
-  /// fault-free path stays allocation-free). Caller holds mu_.
-  void log_observe(Addr x, const Cell& c);
+  /// Owner-side admission of a READ or WRITE (see CausalRecovery::admit):
+  /// true when this node serves it now. Caller holds mu_ via `lock`.
+  bool admit(const Message& m, std::unique_lock<std::mutex>& lock);
 
   /// Waits until complete_pending fills `slot` (request `rid`) or virtual
   /// time (obs::now_ns()) reaches `deadline_ns`; 0 waits indefinitely.
@@ -238,7 +183,7 @@ class CausalNode final : public SharedMemory {
   void wait_flushed(std::unique_lock<std::mutex>& lock);
 
   /// Deadline bookkeeping for one expired round against `target`.
-  void on_round_timeout(NodeId target, Addr x, std::uint64_t epoch_at_send);
+  void on_round_timeout(NodeId target, std::uint64_t epoch_at_send);
 
   /// Fires the flight-recorder unreachable trigger (no-op when none is
   /// attached). Called after an operation surfaces OpStatus::kUnreachable.
@@ -310,14 +255,6 @@ class CausalNode final : public SharedMemory {
   /// page's current owner onto the piggyback queue. Caller holds mu_.
   void note_page_dropped(std::uint64_t pg);
 
-  /// WAL-appends one just-applied owned cell (the durability point of the
-  /// apply: the record is on disk before the reply leaves) and takes the
-  /// periodic checkpoint when due. No-op without a store. Caller holds mu_.
-  void persist_apply(Addr x, const Cell& c);
-
-  /// Checkpoints all owned cells + vt_ and resets the WAL. Caller holds mu_.
-  bool checkpoint_locked();
-
   [[nodiscard]] NodeId owner_of(Addr x) const {
     return ownership_.owner(page_base(page_of(x)));
   }
@@ -383,34 +320,8 @@ class CausalNode final : public SharedMemory {
   };
   FlatHashMap<std::uint64_t, OwnPageWrites> own_writes_;
 
-  // --- crash tolerance (all inert while failover_ == nullptr) ---
-  FailoverDirectory* failover_{nullptr};
-  /// Durable storage, or null (volatile node). See attach_persist.
-  persist::Store* persist_{nullptr};
-  /// True after a rejoin() that found NOTHING durable while a store was
-  /// attached (disk lost with the crash): the incarnation may not serve any
-  /// page — base-owned ones included — before its election, because the
-  /// in-memory "cells survive the crash" stand-in no longer applies and
-  /// conjured initial values could roll back what peers already read.
-  bool lost_disk_epoch_{false};
-  /// Monotone freshest-observed copy of every remote cell this node ever
-  /// saw certified (read replies, accepted write replies). Unlike cache_,
-  /// entries are exempt from invalidation and eviction: they are not
-  /// readable state, only election material — invalidation may legally
-  /// drop the last cached copy of a value that a recovery election later
-  /// needs to avoid rolling the page back behind what readers observed.
-  std::unordered_map<Addr, Cell> recovery_log_;
-  /// Pages this node acquired via failover and has finished electing.
-  std::unordered_set<std::uint64_t> recovered_pages_;
-  /// One in-flight writestamp-max election per acquired page.
-  struct PageRecovery {
-    std::set<NodeId> expected;     ///< live peers not yet answered
-    Cell best;                     ///< current election winner
-    bool has_candidate{false};
-    std::vector<Message> deferred; ///< requests replayed after the election
-    std::set<std::pair<NodeId, std::uint64_t>> queued;  ///< dedupe (from,rid)
-  };
-  std::unordered_map<std::uint64_t, PageRecovery> recovering_;
+  /// Crash tolerance, or null without failover (see recovery.hpp).
+  CausalRecovery* const recovery_;
 
   // --- sharded copyset state (empty unless copysets_on()) ---
   /// Per page: nodes believed to cache a copy (subscribed on first fetch,

@@ -7,10 +7,10 @@
 // request deadline expiring, or by the heartbeat monitor), deterministically
 // migrates the suspect's locations to a successor — the next live node in
 // ring order. The successor reconstructs each page's state lazily, on first
-// demand, by a writestamp-max election over the live nodes' freshest cached
-// copies (CausalNode's recovery machinery); requesters that timed out simply
-// re-resolve the owner and retry, so in-flight operations re-route without
-// any coordination beyond the directory.
+// demand, by a writestamp-max election over the live nodes' freshest
+// observed copies (CausalRecovery, dsm/causal/recovery.hpp); requesters
+// that timed out simply re-resolve the owner and retry, so in-flight
+// operations re-route without any coordination beyond the directory.
 //
 // Everything here is recovery-path machinery: its counters are net.*/fo.*
 // recovery counters, never message counters, so the paper's 2n+6 accounting
@@ -105,8 +105,6 @@ class FailoverDirectory final : public Ownership {
   /// directory; pass nullptr to detach.
   void attach_ring(const HashRing* ring) { ring_ = ring; }
 
-  [[nodiscard]] const HashRing* ring() const noexcept { return ring_; }
-
  private:
   const std::size_t n_;
   std::unique_ptr<Ownership> base_;
@@ -127,22 +125,14 @@ struct HeartbeatConfig {
   /// Silence threshold: a node not heard from (probe or any protocol
   /// message) for this long is suspected.
   std::chrono::microseconds suspect_after{20000};
-  /// 0 = every node probes every other node (the all-pairs default, O(n^2)
-  /// probes per tick). k > 0 = each node probes only its k ring successors
-  /// (hash-ring order when a ring is attached to the directory, node-id
-  /// order otherwise), giving O(n*k) probe traffic. Suspicion still covers
-  /// the whole mesh: last_alive is directory-global and refreshed by ANY
-  /// receipt, and the scan below checks every node regardless of who probed
-  /// it. k >= 2 keeps detection alive with one prober crashed.
-  std::size_t ring_neighbors{0};
 };
 
 /// Active failure detector: one thread probing every live node from every
 /// other live node each interval, and suspecting nodes whose last sign of
 /// life (maintained by FailoverDirectory::record_alive, fed by ALL incoming
 /// traffic) is older than `suspect_after`. Deadline-driven suspicion in
-/// CausalNode works without this; the monitor covers idle systems where no
-/// request would ever hit a deadline.
+/// CausalRecovery works without this; the monitor covers idle systems where
+/// no request would ever hit a deadline.
 class HeartbeatMonitor {
  public:
   /// `transport` must be the layer BELOW the ReliableChannel (probes must

@@ -6,9 +6,11 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "causalmem/common/expect.hpp"
+#include "causalmem/dsm/causal/recovery.hpp"
 #include "causalmem/dsm/failover.hpp"
 #include "causalmem/dsm/memory.hpp"
 #include "causalmem/dsm/observer.hpp"
@@ -58,10 +60,10 @@ struct FlightOptions {
 
 /// Crash tolerance (see dsm/failover.hpp and PROTOCOL.md §Failover).
 struct FailoverOptions {
-  /// Wrap the ownership map in a FailoverDirectory and attach it to every
-  /// node: request deadlines file suspicions, suspected owners' locations
-  /// migrate to a ring successor, and DsmSystem::restart_node becomes
-  /// available. Requires a node type with attach_failover (CausalNode).
+  /// Wrap the ownership map in a FailoverDirectory and give every node a
+  /// CausalRecovery: request deadlines file suspicions, suspected owners'
+  /// locations migrate to a ring successor, and DsmSystem::restart_node
+  /// becomes available. Requires CausalNode with page_size 1.
   bool enabled{false};
   /// Also run the active HeartbeatMonitor (probes below the reliable layer)
   /// so idle systems detect crashes too. Off by default: probes are
@@ -125,10 +127,10 @@ struct SystemOptions {
   /// Durable per-node checkpoints + write-ahead log (persist/*; see
   /// docs/PERSISTENCE.md). With persist.enabled the system owns one
   /// persist::Store per node (files dir/node<i>.ckpt and dir/node<i>.wal),
-  /// attaches it before the transport starts, and restart_node() restores
+  /// hands it to the node's CausalRecovery, and restart_node() restores
   /// the node's owned cells from disk instead of keeping them in memory.
-  /// Requires a node type with attach_persist (CausalNode); pair it with
-  /// failover.enabled for the restart path.
+  /// Requires failover.enabled: without it no node holds the recovery
+  /// component that appends, and restart_node cannot run to read the WAL.
   persist::PersistConfig persist{};
   /// Protocol event tracing; see TraceOptions.
   TraceOptions trace{};
@@ -179,8 +181,8 @@ class DsmSystem {
           std::make_unique<FailoverDirectory>(std::move(ownership_), n, &stats_);
       failover_dir_ = dir.get();
       ownership_ = std::move(dir);
-      // Succession and probe neighbourhoods follow hash-ring order when a
-      // ring exists (deterministic rebalance along the ring segment).
+      // Succession follows hash-ring order when a ring exists
+      // (deterministic rebalance along the ring segment).
       if (ring_ != nullptr) failover_dir_->attach_ring(ring_);
     }
     if (options.flight.enabled && options.flight.force_trace) {
@@ -256,36 +258,35 @@ class DsmSystem {
     }
     transport_ = std::move(transport);
     transport_->attach_stats(&stats_);
-    nodes_.reserve(n);
-    for (NodeId i = 0; i < n; ++i) {
-      nodes_.push_back(std::make_unique<NodeT>(i, n, *ownership_, *transport_,
-                                               stats_.node(i), config,
-                                               observer));
-    }
+    CM_EXPECTS_MSG(!options.persist.enabled || failover_dir_ != nullptr,
+                   "persistence requires failover");
     if (failover_dir_ != nullptr) {
-      if constexpr (requires(NodeT& nd) {
-                      nd.attach_failover(
-                          static_cast<FailoverDirectory*>(nullptr));
-                    }) {
-        for (auto& nd : nodes_) nd->attach_failover(failover_dir_);
-      } else {
-        CM_EXPECTS_MSG(false,
-                       "failover requires a node type with attach_failover");
-      }
-    }
-    if (options.persist.enabled) {
-      if constexpr (requires(NodeT& nd, persist::Store* s) {
-                      nd.attach_persist(s);
-                    }) {
-        stores_.reserve(n);
-        for (NodeId i = 0; i < n; ++i) {
+      CM_EXPECTS_MSG(page_size_of(config) == 1,
+                     "failover requires the per-location protocol "
+                     "(page_size 1)");
+      for (NodeId i = 0; i < n; ++i) {
+        if (options.persist.enabled) {
           stores_.push_back(std::make_unique<persist::Store>(
               options.persist, i, n, &stats_.node(i)));
-          nodes_[i]->attach_persist(stores_[i].get());
+          // Durable nodes are preferred failover successors.
+          failover_dir_->set_durable(i, true);
         }
+        recovery_.push_back(
+            std::make_unique<CausalRecovery>(*failover_dir_, store(i)));
+      }
+    }
+    nodes_.reserve(n);
+    for (NodeId i = 0; i < n; ++i) {
+      if constexpr (std::is_same_v<NodeT, CausalNode>) {
+        nodes_.push_back(std::make_unique<NodeT>(
+            i, n, *ownership_, *transport_, stats_.node(i), config, observer,
+            recovery(i)));
       } else {
-        CM_EXPECTS_MSG(false,
-                       "persist requires a node type with attach_persist");
+        CM_EXPECTS_MSG(failover_dir_ == nullptr,
+                       "failover requires CausalNode");
+        nodes_.push_back(std::make_unique<NodeT>(i, n, *ownership_,
+                                                 *transport_, stats_.node(i),
+                                                 config, observer));
       }
     }
     if (flight_ != nullptr && !stores_.empty()) {
@@ -372,11 +373,7 @@ class DsmSystem {
       faulty_->restart_node(id);
     }
     failover_dir_->mark_restarted(id);
-    if constexpr (requires(NodeT& nd) { nd.rejoin(); }) {
-      return nodes_[id]->rejoin();
-    } else {
-      return true;
-    }
+    return recovery_[id]->rejoin();
   }
 
   [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
@@ -412,6 +409,11 @@ class DsmSystem {
 
   /// The consistent-hash ring, or nullptr when options.sharding is off.
   [[nodiscard]] const HashRing* hash_ring() const noexcept { return ring_; }
+
+  /// Node `i`'s crash tolerance, or nullptr when options.failover is off.
+  [[nodiscard]] CausalRecovery* recovery(NodeId i) noexcept {
+    return i < recovery_.size() ? recovery_[i].get() : nullptr;
+  }
 
   /// Node `i`'s durable store, or nullptr when options.persist is off.
   /// Tests/benches use it to force checkpoints, inspect paths, or model a
@@ -469,6 +471,7 @@ class DsmSystem {
   // Declared before nodes_ (destroyed after them): nodes append to their
   // store from operations and message service until the transport stops.
   std::vector<std::unique_ptr<persist::Store>> stores_;
+  std::vector<std::unique_ptr<CausalRecovery>> recovery_;
   std::vector<std::unique_ptr<NodeT>> nodes_;
   // Last member: destroyed first, so the prober never outlives the
   // transport stack it sends through.

@@ -7,7 +7,7 @@
 //                                         atomically replace the checkpoint
 //                                         and reset the WAL
 //
-// Recovery path (CausalNode::rejoin):
+// Recovery path (CausalRecovery::rejoin):
 //     recover() — load + validate the checkpoint, replay the WAL on top of
 //     it (newest record per address wins; WAL order is apply order), cut any
 //     torn/corrupt tail back to the last valid byte, and hand the node a
@@ -38,9 +38,10 @@ struct PersistConfig {
   std::string dir{"causalmem-persist"};
   /// Checkpoint after this many WAL appends. 0 = only explicit checkpoints.
   std::uint32_t checkpoint_every{256};
-  /// fsync each WAL append before returning (the durability contract the
-  /// recovery proof relies on: an acknowledged write is on disk). Turning
-  /// this off trades crash-window loss of acked writes for throughput.
+  /// Must stay true: every WAL append is fsynced before it returns (the
+  /// durability contract the recovery proof relies on: an acknowledged
+  /// write is on disk), and Store rejects false, which would lose
+  /// acknowledged writes in the crash window.
   bool sync_every_append{true};
   /// Filesystem seam; null = process-wide RealVfs. Sim and tests inject a
   /// MemVfs here.
@@ -88,12 +89,6 @@ class Store {
   /// bench_recovery's election-only baseline.
   void lose_disk();
 
-  /// Models the process dying at this instant: unsynced bytes of this
-  /// node's files vanish (Vfs::drop_unsynced — a torn tail under
-  /// sync_every_append == false, a no-op when every append synced). Sim
-  /// chaos calls this at crash events.
-  void simulate_crash();
-
   [[nodiscard]] const std::string& wal_path() const noexcept {
     return wal_path_;
   }
@@ -106,7 +101,6 @@ class Store {
   [[nodiscard]] std::uint64_t checkpoints_written() const noexcept {
     return ckpts_;
   }
-  [[nodiscard]] Vfs& vfs() noexcept { return *vfs_; }
 
   /// One-line JSON blob for the flight recorder's persist.json.
   [[nodiscard]] std::string summary_json() const;

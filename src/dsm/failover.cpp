@@ -222,34 +222,13 @@ void HeartbeatMonitor::tick() {
                                      std::chrono::nanoseconds>(
                                      config_.suspect_after)
                                      .count());
-  // Probe: every live node pings its probe set. All-pairs by default; with
-  // ring_neighbors = k each node pings only its first k live ring
-  // successors, capping probe traffic at O(n*k) per tick. The probe itself
-  // is its sender's sign of life — receipt refreshes last_alive via
-  // CausalNode's record_alive hook.
-  const std::size_t k = config_.ring_neighbors;
+  // Probe: every live node pings every other live node. The probe itself
+  // is its sender's sign of life — receipt refreshes last_alive through
+  // the receiving node's recovery component.
   for (NodeId from = 0; from < n; ++from) {
     if (directory_->is_down(from)) continue;
-    std::vector<NodeId> targets;
-    if (k == 0) {
-      for (NodeId to = 0; to < n; ++to) {
-        if (to != from && !directory_->is_down(to)) targets.push_back(to);
-      }
-    } else {
-      const HashRing* ring = directory_->ring();
-      if (ring != nullptr && ring->node_count() == n) {
-        for (const NodeId to : ring->successor_order(from)) {
-          if (targets.size() >= k) break;
-          if (!directory_->is_down(to)) targets.push_back(to);
-        }
-      } else {
-        for (std::size_t step = 1; step < n && targets.size() < k; ++step) {
-          const NodeId to = static_cast<NodeId>((from + step) % n);
-          if (!directory_->is_down(to)) targets.push_back(to);
-        }
-      }
-    }
-    for (const NodeId to : targets) {
+    for (NodeId to = 0; to < n; ++to) {
+      if (to == from || directory_->is_down(to)) continue;
       Message hb;
       hb.type = MsgType::kHeartbeat;
       hb.from = from;

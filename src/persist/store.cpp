@@ -4,6 +4,8 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "causalmem/common/expect.hpp"
+
 namespace causalmem::persist {
 
 namespace {
@@ -25,7 +27,9 @@ Store::Store(const PersistConfig& cfg, NodeId node, std::size_t n,
       vfs_(cfg.vfs != nullptr ? cfg.vfs : &default_vfs()),
       ckpt_path_(node_path(cfg.dir, node, ".ckpt")),
       wal_path_(node_path(cfg.dir, node, ".wal")),
-      wal_(*vfs_, wal_path_, node, n, cfg.sync_every_append) {
+      wal_(*vfs_, wal_path_, node, n, /*sync_each=*/true) {
+  CM_EXPECTS_MSG(cfg_.sync_every_append,
+                 "an unsynced WAL loses acknowledged writes in a crash");
   vfs_->mkdirs(cfg_.dir);
 }
 
@@ -126,11 +130,6 @@ void Store::lose_disk() {
   appends_since_ckpt_ = 0;
 }
 
-void Store::simulate_crash() {
-  vfs_->drop_unsynced(wal_path_);
-  vfs_->drop_unsynced(ckpt_path_);
-}
-
 std::string Store::summary_json() const {
   std::ostringstream oss;
   oss << "{\"node\":" << node_ << ",\"ckpt\":\"" << ckpt_path_
@@ -138,9 +137,7 @@ std::string Store::summary_json() const {
       << "\",\"checkpoints\":" << ckpts_
       << ",\"appends_since_checkpoint\":" << appends_since_ckpt_
       << ",\"wal_bytes\":" << wal_.appended_bytes()
-      << ",\"replayed_records\":" << replayed_records_
-      << ",\"sync_every_append\":" << (cfg_.sync_every_append ? "true" : "false")
-      << "}";
+      << ",\"replayed_records\":" << replayed_records_ << "}";
   return oss.str();
 }
 

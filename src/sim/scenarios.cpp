@@ -114,13 +114,10 @@ void run_chaos_script(SystemT& sys, SimScheduler& sched, ChaosState& st,
       case ChaosEvent::Kind::kCrashLosingDisk:
         st.crashed[ev.node] = 1;
         sys.sim_transport()->crash_node(ev.node);
-        if constexpr (requires { sys.store(ev.node); }) {
-          if (persist::Store* s = sys.store(ev.node)) {
-            // The process died here: unsynced tail bytes are torn off, and
-            // a media loss takes the files with it.
-            s->simulate_crash();
-            if (ev.kind == ChaosEvent::Kind::kCrashLosingDisk) s->lose_disk();
-          }
+        // Every store write is synced, so a crash loses nothing on disk;
+        // a media loss takes the files with it.
+        if (ev.kind == ChaosEvent::Kind::kCrashLosingDisk) {
+          sys.store(ev.node)->lose_disk();
         }
         break;
       case ChaosEvent::Kind::kRestart:
@@ -133,9 +130,9 @@ void run_chaos_script(SystemT& sys, SimScheduler& sched, ChaosState& st,
         st.crashed[ev.node] = 0;
         break;
       case ChaosEvent::Kind::kCheckpoint:
-        if constexpr (requires { sys.node(ev.node).checkpoint_now(); }) {
-          (void)sys.node(ev.node).checkpoint_now();
-        }
+        // Persist chaos implies failover, so the node holds a recovery
+        // component (and a store) to checkpoint through.
+        (void)sys.recovery(ev.node)->checkpoint_now();
         break;
       case ChaosEvent::Kind::kPartition:
         sys.sim_transport()->set_partition(ev.from, ev.to, true);

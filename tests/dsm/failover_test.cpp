@@ -152,6 +152,17 @@ SystemOptions failover_options() {
   return options;
 }
 
+TEST(OwnerFailover, PagedSystemIsRejectedAtConstruction) {
+  // Recovery elects per-location freshest copies, so failover needs the
+  // per-location protocol; the rule is checked where the recovery
+  // component is built.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  CausalConfig cfg;
+  cfg.page_size = 2;
+  EXPECT_DEATH({ DsmSystem<CausalNode> sys(2, cfg, failover_options()); },
+               "page_size 1");
+}
+
 CausalConfig deadline_config() {
   CausalConfig cfg;
   // Wide enough that sanitizer slowdown cannot falsely suspect a live

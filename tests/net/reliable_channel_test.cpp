@@ -291,10 +291,15 @@ TEST(ReliableChannel, CountersLandInAttachedStats) {
 TEST(ReliableChannel, HeldSendThroughDecoratorsRunsOnCallersThread) {
   // Both decorators forward the two-step send, so a fault-free stack still
   // delivers a held message on the caller's thread (in sequence: the
-  // reliable layer's receive side runs here too).
+  // reliable layer's receive side runs here too). The retransmission
+  // timeout is far above any scheduling delay, so a descheduled test thread
+  // cannot let the retransmitter deliver the message first.
   auto faulty = std::make_unique<FaultyTransport>(
       std::make_unique<InMemTransport>(2), FaultModel{});
-  ReliableChannel rc(std::move(faulty));
+  ReliableConfig cfg;
+  cfg.initial_rto = std::chrono::seconds(10);
+  cfg.max_rto = cfg.initial_rto;
+  ReliableChannel rc(std::move(faulty), cfg);
   std::thread::id handled_on;
   SequenceSink sink;
   rc.register_node(0, [](const Message&) {});

@@ -51,6 +51,18 @@ SystemOptions persist_options(persist::Vfs* vfs) {
   return options;
 }
 
+TEST(DurableRecovery, PersistenceWithoutFailoverIsRejectedAtConstruction) {
+  // Only a failover node holds the recovery component that appends to the
+  // WAL, and restart_node (the only reader of the WAL) requires failover.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  persist::MemVfs vfs;
+  SystemOptions options = persist_options(&vfs);
+  options.failover.enabled = false;
+  EXPECT_DEATH(
+      { DsmSystem<CausalNode> sys(2, deadline_config(), options); },
+      "persistence requires failover");
+}
+
 TEST(DurableRecovery, RestartRestoresOwnedCellsWithZeroElections) {
   persist::MemVfs vfs;
   SystemOptions options = persist_options(&vfs);

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "causalmem/persist/checkpoint.hpp"
@@ -180,22 +181,36 @@ TEST(WalTorture, EveryBitFlipIsDetectedNeverTrusted) {
 }
 
 TEST(WalTorture, UnsyncedTailDiesWithTheProcessSyncedTailSurvives) {
-  // The durability contract: with sync_every_append every acknowledged
-  // append survives a crash; without it the unsynced tail is lost — torn
-  // off by the crash, cleanly absent at recovery (never garbage).
+  // The durability contract: the Store syncs every append, so every
+  // acknowledged append survives a crash. A WAL writer that does not sync
+  // (the mode the Store refuses) loses its unsynced tail — torn off by the
+  // crash, cleanly absent at recovery (never garbage).
   for (const bool sync_each : {true, false}) {
     MemVfs vfs;
-    PersistConfig cfg = mem_config(&vfs);
-    cfg.sync_every_append = sync_each;
-    Store store(cfg, 0, kNodes);
-    EXPECT_TRUE(store.append(cell(1, 10, 1, {1, 0, 0}), 1));
-    EXPECT_TRUE(store.append(cell(2, 20, 2, {2, 0, 0}), 2));
-    store.simulate_crash();
+    if (sync_each) {
+      Store store(mem_config(&vfs), 0, kNodes);
+      EXPECT_TRUE(store.append(cell(1, 10, 1, {1, 0, 0}), 1));
+      EXPECT_TRUE(store.append(cell(2, 20, 2, {2, 0, 0}), 2));
+    } else {
+      const std::string path = "torture/node0.wal";
+      vfs.mkdirs("torture");
+      WalWriter wal(vfs, path, 0, kNodes, /*sync_each=*/false);
+      EXPECT_TRUE(wal.append(WalRecord{cell(1, 10, 1, {1, 0, 0}), 1}));
+      EXPECT_TRUE(wal.append(WalRecord{cell(2, 20, 2, {2, 0, 0}), 2}));
+    }
+    vfs.crash();  // the process dies here
     Store reborn(mem_config(&vfs), 0, kNodes);
     const RecoveredState r = reborn.recover();
     EXPECT_EQ(r.wal_records, sync_each ? 2u : 0u);
     EXPECT_EQ(r.wal_truncated_bytes, 0u);  // a lost tail is not a torn tail
   }
+}
+
+TEST(WalTortureDeathTest, StoreRejectsAnUnsyncedWal) {
+  MemVfs vfs;
+  PersistConfig cfg = mem_config(&vfs);
+  cfg.sync_every_append = false;
+  EXPECT_DEATH({ Store store(cfg, 0, kNodes); }, "unsynced WAL");
 }
 
 TEST(WalTorture, ForeignHeaderIsRejectedWhole) {
