@@ -32,12 +32,6 @@ using namespace causalmem::bench;
 
 namespace {
 
-std::uint64_t flag_or(int argc, char** argv, std::string_view flag,
-                      std::uint64_t fallback) {
-  const std::string v = parse_flag_value(argc, argv, flag);
-  return v.empty() ? fallback : std::strtoull(v.c_str(), nullptr, 10);
-}
-
 std::uint64_t maxrss_kb() {
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);

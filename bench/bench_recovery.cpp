@@ -120,12 +120,6 @@ std::chrono::microseconds run_volatile_populate(std::uint64_t pages) {
       std::chrono::steady_clock::now() - t0);
 }
 
-std::uint64_t flag_or(int argc, char** argv, std::string_view flag,
-                      std::uint64_t fallback) {
-  const std::string v = parse_flag_value(argc, argv, flag);
-  return v.empty() ? fallback : std::strtoull(v.c_str(), nullptr, 10);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -25,9 +25,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -119,45 +117,6 @@ ScenarioResult run_scenario(const Shape& s, const SystemOptions& options) {
   result.metrics.capture(sys.stats());
   result.messages = sys.stats().total().messages_sent();
   return result;
-}
-
-/// Baseline rates from a previous metrics document (--compare): maps
-/// scenario label -> ops_per_sec.
-std::vector<std::pair<std::string, double>> load_baseline(
-    const std::string& path) {
-  std::vector<std::pair<std::string, double>> rates;
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open baseline %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string error;
-  const auto doc = obs::parse_json(buf.str(), &error);
-  if (!doc || !doc->is_object()) {
-    std::fprintf(stderr, "baseline %s does not parse: %s\n", path.c_str(),
-                 error.c_str());
-    std::exit(1);
-  }
-  const obs::JsonValue* runs = doc->find("runs");
-  if (runs == nullptr || !runs->is_array()) return rates;
-  for (const obs::JsonValue& run : runs->array) {
-    const obs::JsonValue* label = run.find("label");
-    const obs::JsonValue* values = run.find("values");
-    if (label == nullptr || values == nullptr) continue;
-    const obs::JsonValue* ops = values->find("ops_per_sec");
-    if (ops != nullptr && ops->is_number()) {
-      rates.emplace_back(label->string, ops->number);
-    }
-  }
-  return rates;
-}
-
-std::uint64_t flag_or(int argc, char** argv, std::string_view flag,
-                      std::uint64_t fallback) {
-  const std::string v = parse_flag_value(argc, argv, flag);
-  return v.empty() ? fallback : std::strtoull(v.c_str(), nullptr, 10);
 }
 
 }  // namespace
@@ -267,7 +226,7 @@ int main(int argc, char** argv) {
   }
 
   if (!compare_path.empty()) {
-    const auto baseline = load_baseline(compare_path);
+    const auto baseline = load_baseline(compare_path, "ops_per_sec");
     std::printf("\nvs baseline %s:\n", compare_path.c_str());
     bool regressed = false;
     for (std::size_t i = 0; i < exporter.run_count(); ++i) {

@@ -4,10 +4,14 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "causalmem/apps/solver/solver.hpp"
@@ -15,6 +19,7 @@
 #include "causalmem/dsm/broadcast/node.hpp"
 #include "causalmem/dsm/causal/node.hpp"
 #include "causalmem/dsm/system.hpp"
+#include "causalmem/obs/json.hpp"
 #include "causalmem/obs/metrics_export.hpp"
 #include "causalmem/stats/table.hpp"
 
@@ -116,6 +121,47 @@ inline std::string parse_flag_value(int argc, char** argv,
     }
   }
   return {};
+}
+
+/// `--<flag> N` as an unsigned integer; `fallback` when absent.
+inline std::uint64_t flag_or(int argc, char** argv, std::string_view flag,
+                             std::uint64_t fallback) {
+  const std::string v = parse_flag_value(argc, argv, flag);
+  return v.empty() ? fallback : std::strtoull(v.c_str(), nullptr, 10);
+}
+
+/// Each run's `key` value by run label, from a committed metrics document
+/// (the `--compare` baselines); runs without a numeric `key` are skipped.
+/// Exits non-zero when the file is missing or does not parse.
+inline std::vector<std::pair<std::string, double>> load_baseline(
+    const std::string& path, std::string_view key) {
+  std::vector<std::pair<std::string, double>> values;
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "cannot open baseline %s\n", path.c_str());
+    std::exit(1);
+  }
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  std::string error;
+  const auto doc = obs::parse_json(buf.str(), &error);
+  if (!doc || !doc->is_object()) {
+    std::fprintf(stderr, "baseline %s does not parse: %s\n", path.c_str(),
+                 error.c_str());
+    std::exit(1);
+  }
+  const obs::JsonValue* runs = doc->find("runs");
+  if (runs == nullptr || !runs->is_array()) return values;
+  for (const obs::JsonValue& run : runs->array) {
+    const obs::JsonValue* label = run.find("label");
+    const obs::JsonValue* run_values = run.find("values");
+    if (label == nullptr || run_values == nullptr) continue;
+    const obs::JsonValue* v = run_values->find(key);
+    if (v != nullptr && v->is_number()) {
+      values.emplace_back(label->string, v->number);
+    }
+  }
+  return values;
 }
 
 /// `--json <path>`: where to write the machine-readable metrics document

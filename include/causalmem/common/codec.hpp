@@ -1,7 +1,10 @@
 // Byte-level encoder/decoder for protocol messages. Fixed little-endian
-// wire format so the in-memory and TCP transports serialize identically.
+// wire format so the in-memory and TCP transports serialize identically,
+// plus LEB128 varints for fields whose typical value is small (a vector
+// clock's dimension, nonzero count, index gaps and components).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -32,6 +35,18 @@ class ByteWriter {
     const auto old = buf_.size();
     buf_.resize(old + sizeof(T));
     std::memcpy(buf_.data() + old, &v, sizeof(T));
+  }
+
+  /// Writes `v` as an unsigned LEB128 varint: seven bits per byte, low
+  /// group first, the high bit set on every byte but the last.
+  void put_varint(std::uint64_t v) {
+    // Room for the longest varint, ten bytes, in one step: a new writer
+    // would otherwise reallocate at 1, 2, 4 and 8 bytes.
+    if (buf_.capacity() - buf_.size() < 10) {
+      buf_.reserve(std::max(2 * buf_.capacity(), buf_.size() + 10));
+    }
+    for (; v >= 0x80; v >>= 7) buf_.push_back(static_cast<std::byte>(v | 0x80));
+    buf_.push_back(static_cast<std::byte>(v));
   }
 
   void put_bytes(std::span<const std::byte> bytes) {
@@ -81,6 +96,23 @@ class ByteReader {
     std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
     return v;
+  }
+
+  /// Reads an unsigned LEB128 varint. Aborts on a varint cut off by the
+  /// end of the buffer, and on one longer than ten bytes or whose tenth
+  /// byte carries more than bit 63, either of which overflows a u64.
+  [[nodiscard]] std::uint64_t get_varint() {
+    CM_EXPECTS_MSG(pos_ < bytes_.size(), "codec under-run (varint)");
+    std::uint64_t v = std::to_integer<std::uint64_t>(bytes_[pos_++]);
+    if (v < 0x80) return v;  // one byte: the common case
+    v &= 0x7f;
+    for (unsigned shift = 7;; shift += 7) {
+      CM_EXPECTS_MSG(pos_ < bytes_.size(), "codec under-run (varint)");
+      const auto b = std::to_integer<std::uint64_t>(bytes_[pos_++]);
+      CM_EXPECTS_MSG(shift < 63 || b <= 1, "varint overflows u64");
+      v |= (b & 0x7f) << shift;
+      if ((b & 0x80) == 0) return v;
+    }
   }
 
   [[nodiscard]] std::string get_string() {

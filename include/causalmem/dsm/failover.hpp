@@ -58,12 +58,6 @@ class FailoverDirectory final : public Ownership {
     return down_[id].load(std::memory_order_acquire);
   }
 
-  /// Bumped on every ownership migration; nodes use it to notice that a
-  /// cached owner resolution may be stale.
-  [[nodiscard]] std::uint64_t epoch() const noexcept {
-    return epoch_.load(std::memory_order_acquire);
-  }
-
   [[nodiscard]] std::size_t node_count() const noexcept { return n_; }
 
   /// All nodes currently believed alive, excluding `self`.
@@ -114,7 +108,6 @@ class FailoverDirectory final : public Ownership {
   std::vector<std::atomic<bool>> down_;
   std::vector<std::atomic<bool>> durable_;       // set_durable()
   std::vector<std::atomic<std::uint64_t>> last_alive_;
-  std::atomic<std::uint64_t> epoch_{0};
   const HashRing* ring_{nullptr};  // optional; attach_ring()
 };
 

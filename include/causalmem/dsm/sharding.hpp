@@ -42,7 +42,7 @@ class HashRing {
   /// Every other node, ordered by first encounter walking the ring forward
   /// from `node`'s primary point. This is the deterministic succession
   /// order: the failover directory picks the first live (durable-preferred)
-  /// entry, and the heartbeat monitor probes a prefix of it.
+  /// entry.
   [[nodiscard]] std::vector<NodeId> successor_order(NodeId node) const;
 
   /// Stable 64-bit mix (splitmix64) used for both ring points and keys.

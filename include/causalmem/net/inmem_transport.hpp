@@ -103,12 +103,10 @@ class InMemTransport final : public Transport {
     Rng rng{0};
     bool has_override{false};
     LatencyModel override_latency{};
-    // exercise_codec state: the directed channel's clock-delta baselines and
-    // a scratch Message whose stamp/cells capacity is recycled across
-    // round-trips (send swaps the decoded message out and the caller's
-    // buffers in), so the steady-state codec path never allocates.
-    ClockCodecState tx;
-    ClockCodecState rx;
+    // exercise_codec state: a scratch Message whose stamp/cells capacity is
+    // recycled across round-trips (send swaps the decoded message out and
+    // the caller's buffers in), so the steady-state codec path never
+    // allocates.
     Message scratch;
     // Queued messages on this channel, counting one whose delivery is
     // still running, plus kInlineRunning while an inline delivery runs. 0

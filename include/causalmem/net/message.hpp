@@ -16,7 +16,7 @@ namespace causalmem {
 /// Leading byte of every encoded message; bumped whenever the layout
 /// changes. Every node runs the same codec, so decode accepts exactly this
 /// version and aborts on any other instead of misparsing.
-inline constexpr std::uint8_t kWireVersion = 5;
+inline constexpr std::uint8_t kWireVersion = 6;
 
 enum class MsgType : std::uint8_t {
   // Causal owner protocol (Figure 4).
@@ -113,23 +113,15 @@ struct Message {
 
   /// Encodes into a pooled frame (common/arena.hpp): steady-state senders
   /// that FrameArena::release() the buffer after use pay no allocation.
-  /// Stateless — the stamp goes out as a full clock.
+  /// A frame depends on nothing but this message, so it decodes on its own.
   [[nodiscard]] std::vector<std::byte> encode() const;
-
-  /// Stateful encode for one directed channel: the stamp is delta-compressed
-  /// against `tx`'s baseline when that is smaller on the wire (see
-  /// VectorClock::encode). Must be paired 1:1, in order, with a
-  /// decode_into(bytes, out, &rx) on the receiving end of the same channel.
-  [[nodiscard]] std::vector<std::byte> encode(ClockCodecState& tx) const;
 
   static Message decode(std::span<const std::byte> bytes);
 
   /// Decodes into `out`, reusing its stamp/cells capacity — the transports'
-  /// receive paths recycle one Message per channel so steady-state decodes
-  /// are allocation-free. `rx` (nullable) is the channel's clock baseline,
-  /// required to accept delta-clock frames.
-  static void decode_into(std::span<const std::byte> bytes, Message& out,
-                          ClockCodecState* rx);
+  /// receive paths recycle a scratch Message so steady-state decodes are
+  /// allocation-free.
+  static void decode_into(std::span<const std::byte> bytes, Message& out);
 
   [[nodiscard]] std::string to_string() const;
 };

@@ -52,13 +52,6 @@ class TcpTransport final : public Transport {
     std::atomic<bool> broken{false};
     std::mutex write_mu;
     std::jthread reader;
-    /// Clock-delta baselines for this socket's two independent FIFO byte
-    /// streams: `tx` for frames this side writes (guarded by write_mu, so
-    /// encode order is write order), `rx` for frames its reader decodes
-    /// (reader thread only). TCP delivers each direction reliably in order,
-    /// so encoder and decoder baselines advance in lockstep.
-    ClockCodecState tx;
-    ClockCodecState rx;
     /// Write-side scratch (guarded by write_mu): the full [len | payload]
     /// frame is assembled here and written with one send() call.
     std::vector<std::byte> wbuf;

@@ -56,7 +56,6 @@ class SimTransport final : public Transport {
   SimTransport(std::size_t n, SimScheduler* sched, bool exercise_codec = false)
       : exercise_codec_(exercise_codec),
         endpoints_(n),
-        codec_(exercise_codec ? n * n : 0),
         blocked_(n * n, 0),
         crashed_(n, 0),
         epochs_(n, 0) {
@@ -92,15 +91,13 @@ class SimTransport final : public Transport {
     const std::size_t n = endpoints_.size();
     CM_EXPECTS(m.from < n && m.to < n);
     if (exercise_codec_) {
-      // Same recycling scheme as InMemTransport::send: pooled frame,
-      // per-channel clock-delta baselines (encode/decode inline keeps them
-      // in lockstep on every schedule), swap to reuse message buffers. All
-      // deterministic — only byte representation changes, never order.
-      CodecState& cs = codec_[m.from * n + m.to];
-      std::vector<std::byte> wire = m.encode(cs.tx);
-      Message::decode_into(wire, cs.scratch, &cs.rx);
+      // Same recycling scheme as InMemTransport::send: pooled frame, swap
+      // to reuse message buffers. All deterministic — only byte
+      // representation changes, never order.
+      std::vector<std::byte> wire = m.encode();
+      Message::decode_into(wire, scratch_);
       FrameArena::release(std::move(wire));
-      std::swap(m, cs.scratch);
+      std::swap(m, scratch_);
     }
     if (crashed_[m.from] != 0 || crashed_[m.to] != 0 ||
         blocked_[m.from * n + m.to] != 0) {
@@ -307,14 +304,9 @@ class SimTransport final : public Transport {
     return spare;
   }
 
-  /// Per directed channel: clock-delta baselines + recycled decode target.
-  struct CodecState {
-    ClockCodecState tx;
-    ClockCodecState rx;
-    Message scratch;
-  };
-
   bool exercise_codec_;
+  /// The codec round trip's decode target, recycled across sends.
+  Message scratch_;
   std::vector<Handler> endpoints_;
   /// One deliver choice per non-empty channel, in (from, to) order,
   /// labelled with the channel head's type. A channel is removed when its
@@ -325,7 +317,6 @@ class SimTransport final : public Transport {
   /// Every queued message, plus free slots chained from free_slot_.
   std::vector<Slot> slots_;
   std::uint32_t free_slot_{kNoSlot};
-  std::vector<CodecState> codec_;      // n*n when exercising, else 0
   std::vector<std::uint8_t> blocked_;  // n*n, directed
   std::vector<std::uint8_t> crashed_;
   std::vector<std::uint64_t> epochs_;  ///< per-endpoint crash/restart count

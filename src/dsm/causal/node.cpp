@@ -151,8 +151,8 @@ ReadResult CausalNode::try_read(Addr x) {
       req.request_id = rid;
       req.addr = x;
       req.trace_id = tid;
-      // The stamp stays empty: the owner ignores it, and empty clocks are
-      // transparent to the channel's delta baseline.
+      // The stamp stays empty: the owner ignores it, and an empty clock
+      // costs two bytes on the wire.
       stats_.bump(Counter::kMsgReadRequest);
       send_msg(std::move(req));
     }

@@ -128,7 +128,6 @@ bool FailoverDirectory::suspect(NodeId suspect, NodeId reporter) {
   if (successor == kNoNode) return false;  // nobody left to take over
   down_[suspect].store(true, std::memory_order_release);
   reroute_[suspect].store(successor, std::memory_order_release);
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
   CM_LOG_INFO("failover: P" << suspect << " suspected (reporter="
                             << static_cast<std::int64_t>(
                                    reporter == kNoNode ? -1 : reporter)
@@ -156,7 +155,6 @@ void FailoverDirectory::mark_restarted(NodeId id) {
   std::scoped_lock lock(mu_);
   last_alive_[id].store(obs::now_ns(), std::memory_order_release);
   down_[id].store(false, std::memory_order_release);
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
   // reroute_[id] is deliberately kept: migrated ownership never reverts.
 }
 

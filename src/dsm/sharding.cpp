@@ -41,7 +41,7 @@ std::vector<NodeId> HashRing::successor_order(NodeId node) const {
   CM_EXPECTS(node < n_);
   // Walk forward from the node's first (lowest-hash) point; first encounter
   // of each other node defines its rank. O(points) — succession is a cold
-  // path (failover) or a once-per-tick path (probe neighbourhoods).
+  // path, taken only by failover.
   std::size_t start = 0;
   for (std::size_t i = 0; i < points_.size(); ++i) {
     if (points_[i].node == node) {

@@ -118,12 +118,11 @@ HeldSend InMemTransport::post(Message m, bool hold) {
     std::scoped_lock lock(ch.mu);
     if (exercise_codec_) {
       // Round-trip through the wire format to prove serialization fidelity.
-      // Encode and decode share this channel's lock, so the clock-delta
-      // baselines advance in perfect lockstep; the frame comes from (and
-      // returns to) the arena, and the swap recycles the caller's message
-      // buffers as the next round-trip's decode target.
-      std::vector<std::byte> wire = m.encode(ch.tx);
-      Message::decode_into(wire, ch.scratch, &ch.rx);
+      // The frame comes from (and returns to) the arena, and the swap
+      // recycles the caller's message buffers as the next round-trip's
+      // decode target, which the channel lock guards.
+      std::vector<std::byte> wire = m.encode();
+      Message::decode_into(wire, ch.scratch);
       FrameArena::release(std::move(wire));
       std::swap(m, ch.scratch);
     }

@@ -42,56 +42,39 @@ CellUpdate CellUpdate::decode(ByteReader& r) {
   return c;
 }
 
-namespace {
-
-/// Everything but the stamp, which the two encode overloads frame
-/// differently (full vs. channel-delta).
-template <typename StampEncoder>
-std::vector<std::byte> encode_message(const Message& m, StampEncoder&& stamp) {
+std::vector<std::byte> Message::encode() const {
   ByteWriter w(FrameArena::acquire());
   w.put(kWireVersion);
-  w.put(m.type);
-  w.put(m.from);
-  w.put(m.to);
-  w.put(m.request_id);
-  w.put(m.addr);
-  w.put(m.value);
-  w.put(m.tag.writer);
-  w.put(m.tag.seq);
-  stamp(w);
-  w.put<std::uint8_t>(m.accepted ? 1 : 0);
-  w.put_count(m.cells.size());
-  for (const auto& c : m.cells) c.encode(w);
-  w.put(m.rel_seq);
-  w.put(m.rel_ack);
-  w.put(m.trace_id);
+  w.put(type);
+  w.put(from);
+  w.put(to);
+  w.put(request_id);
+  w.put(addr);
+  w.put(value);
+  w.put(tag.writer);
+  w.put(tag.seq);
+  stamp.encode(w);
+  w.put<std::uint8_t>(accepted ? 1 : 0);
+  w.put_count(cells.size());
+  for (const auto& c : cells) c.encode(w);
+  w.put(rel_seq);
+  w.put(rel_ack);
+  w.put(trace_id);
   // Sharding trailer: piggybacked unsubscribe / invalidation page lists.
-  w.put_count(m.unsub_pages.size());
-  for (const Addr a : m.unsub_pages) w.put(a);
-  w.put_count(m.inval_pages.size());
-  for (const Addr a : m.inval_pages) w.put(a);
+  w.put_count(unsub_pages.size());
+  for (const Addr a : unsub_pages) w.put(a);
+  w.put_count(inval_pages.size());
+  for (const Addr a : inval_pages) w.put(a);
   return std::move(w).take();
-}
-
-}  // namespace
-
-std::vector<std::byte> Message::encode() const {
-  return encode_message(*this, [this](ByteWriter& w) { stamp.encode(w); });
-}
-
-std::vector<std::byte> Message::encode(ClockCodecState& tx) const {
-  return encode_message(*this,
-                        [this, &tx](ByteWriter& w) { stamp.encode(w, tx); });
 }
 
 Message Message::decode(std::span<const std::byte> bytes) {
   Message m;
-  decode_into(bytes, m, nullptr);
+  decode_into(bytes, m);
   return m;
 }
 
-void Message::decode_into(std::span<const std::byte> bytes, Message& m,
-                          ClockCodecState* rx) {
+void Message::decode_into(std::span<const std::byte> bytes, Message& m) {
   ByteReader r(bytes);
   const auto version = r.get<std::uint8_t>();
   CM_EXPECTS_MSG(version == kWireVersion, "unsupported wire version");
@@ -107,7 +90,7 @@ void Message::decode_into(std::span<const std::byte> bytes, Message& m,
   m.value = r.get<Value>();
   m.tag.writer = r.get<NodeId>();
   m.tag.seq = r.get<std::uint64_t>();
-  m.stamp.decode_in_place(r, rx);
+  m.stamp.decode_in_place(r);
   m.accepted = r.get<std::uint8_t>() != 0;
   const auto n = r.get<std::uint32_t>();
   // Each cell occupies a fixed number of wire bytes; checking the count

@@ -184,7 +184,7 @@ void TcpTransport::run_reader(Conn& conn) {
     payload.resize(len);
     if (!read_exact(conn.fd, payload.data(), len)) return;
     if (stopping_.load(std::memory_order_acquire)) return;
-    Message::decode_into(payload, m, &conn.rx);
+    Message::decode_into(payload, m);
     CM_ASSERT(m.to < n_);
     trace_msg(m.to, obs::TraceEventKind::kRecv, m);
     handlers_[m.to](m);
@@ -216,12 +216,11 @@ void TcpTransport::send_raw(NodeId from, NodeId to,
 }
 
 void TcpTransport::write_frame(Conn& conn, const Message& m) {
-  // Encode under write_mu: the stream's clock-delta baseline must advance in
-  // exactly the order frames hit the socket. The frame is assembled —
-  // length prefix and payload — in the connection's reusable buffer and
-  // written with a single send() call.
+  // A frame needs no connection state, so it is encoded before write_mu is
+  // taken. The frame is assembled — length prefix and payload — in the
+  // connection's reusable buffer and written with a single send() call.
+  std::vector<std::byte> payload = m.encode();
   std::scoped_lock lock(conn.write_mu);
-  std::vector<std::byte> payload = m.encode(conn.tx);
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
   conn.wbuf.clear();
   conn.wbuf.resize(sizeof(len));

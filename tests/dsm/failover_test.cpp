@@ -54,14 +54,12 @@ TEST(FresherStamp, OrdersDeterministically) {
 TEST(FailoverDirectory, MigratesToRingSuccessorAndNeverReverts) {
   FailoverDirectory dir(std::make_unique<StripedOwnership>(4), 4, nullptr);
   EXPECT_EQ(dir.owner(1), 1u);
-  EXPECT_EQ(dir.epoch(), 0u);
 
   // First suspicion migrates to the next live node in ring order.
   EXPECT_TRUE(dir.suspect(1, 0));
   EXPECT_TRUE(dir.is_down(1));
   EXPECT_EQ(dir.owner(1), 2u);
   EXPECT_EQ(dir.base_owner(1), 1u);
-  EXPECT_EQ(dir.epoch(), 1u);
   // Repeat reports are idempotent.
   EXPECT_FALSE(dir.suspect(1, 3));
   EXPECT_EQ(dir.owner(1), 2u);

@@ -1,5 +1,5 @@
 // Adversarial codec and reorder-buffer tests: corrupt counts, truncated
-// frames, wire-version skew, delta-clock edge cases, and frames landing
+// frames, wire-version skew, forged clock frames, and frames landing
 // outside the reliable channel's bounded reorder window. Contract
 // violations abort (CM_EXPECTS), so the negative cases are death tests.
 #include <gtest/gtest.h>
@@ -87,71 +87,87 @@ TEST(CodecAdversarialDeathTest, OverflowingCellCountIsCaughtBeforeAlloc) {
   EXPECT_DEATH((void)Message::decode(wire), "codec under-run \\(cell count\\)");
 }
 
-TEST(CodecAdversarialDeathTest, DeltaFrameNeedsChannelState) {
-  ClockCodecState tx;
-  Message m = sample_message();
-  FrameArena::release(m.encode(tx));  // full frame establishes the baseline
-  m.stamp.increment(0);
-  const std::vector<std::byte> delta_wire = m.encode(tx);
-  EXPECT_DEATH((void)Message::decode(delta_wire),
-               "delta clock frame without channel state");
+// Clock frames (VectorClock::encode): varint n, varint nonzero count, then
+// a varint index gap and a varint value per nonzero component. Each forged
+// frame below breaks exactly one decode check.
+
+/// Decodes `w`'s bytes as a clock frame.
+void decode_clock(const ByteWriter& w) {
+  ByteReader r(w.bytes());
+  (void)VectorClock::decode(r);
 }
 
-TEST(CodecAdversarial, DeltaRoundTripAndFullFallback) {
-  ClockCodecState tx;
-  ClockCodecState rx;
-  Message m = sample_message();
-
-  // First frame: no baseline yet, goes out full.
-  const std::vector<std::byte> first = m.encode(tx);
-  Message out;
-  Message::decode_into(first, out, &rx);
-  EXPECT_EQ(out.stamp, m.stamp);
-
-  // Second frame: one changed component — delta-compressed, and strictly
-  // smaller than the stateless encoding of the same message.
-  m.stamp.increment(2);
-  const std::vector<std::byte> delta = m.encode(tx);
-  EXPECT_LT(delta.size(), m.encode().size());
-  Message::decode_into(delta, out, &rx);
-  EXPECT_EQ(out.stamp, m.stamp);
-
-  // Third frame: clock size changes (baseline mismatch) — falls back to a
-  // full frame and re-establishes the baseline on both ends.
-  m.stamp = VectorClock(std::vector<std::uint64_t>{1, 2});
-  const std::vector<std::byte> fallback = m.encode(tx);
-  Message::decode_into(fallback, out, &rx);
-  EXPECT_EQ(out.stamp, m.stamp);
-
-  // Fourth frame: delta-compresses against the re-established baseline.
-  m.stamp.increment(1);
-  Message::decode_into(m.encode(tx), out, &rx);
-  EXPECT_EQ(out.stamp, m.stamp);
+TEST(CodecAdversarialDeathTest, ClockDimensionAboveU32IsRejected) {
+  ByteWriter w;
+  w.put_varint(std::uint64_t{UINT32_MAX} + 1);
+  w.put_varint(0);
+  EXPECT_DEATH(decode_clock(w), "vector clock dimension overflows u32");
 }
 
-TEST(CodecAdversarial, EmptyClocksAreTransparentToTheDeltaBaseline) {
-  ClockCodecState tx;
-  ClockCodecState rx;
-  Message m = sample_message();
-  Message out;
-  Message::decode_into(m.encode(tx), out, &rx);  // establish the baseline
+TEST(CodecAdversarialDeathTest, ClockNonzeroCountAboveDimensionIsRejected) {
+  ByteWriter w;
+  w.put_varint(3);
+  w.put_varint(4);
+  for (int k = 0; k < 4; ++k) {
+    w.put_varint(0);
+    w.put_varint(1);
+  }
+  EXPECT_DEATH(decode_clock(w), "clock nonzero count exceeds dimension");
+}
 
-  // A stamp-less control message (READ request, ack, heartbeat) must not
-  // disturb the baseline...
-  Message control;
-  control.type = MsgType::kRead;
-  control.from = 0;
-  control.to = 1;
-  control.addr = 7;
-  Message::decode_into(control.encode(tx), out, &rx);
-  EXPECT_EQ(out.stamp.size(), 0u);
+TEST(CodecAdversarialDeathTest, ClockNonzeroCountBeyondPayloadIsRejected) {
+  // Every component takes at least two bytes, so a count above half the
+  // remaining bytes is corrupt. Trusted, this one would make decode
+  // allocate the dense form of a 2^32-entry clock (32 GiB).
+  ByteWriter w;
+  w.put_varint(UINT32_MAX);
+  w.put_varint(UINT32_MAX);
+  w.put_varint(0);
+  w.put_varint(1);
+  EXPECT_DEATH(decode_clock(w), "codec under-run \\(clock\\)");
+  // One component short of its two bytes is caught the same way.
+  ByteWriter short_frame;
+  short_frame.put_varint(4);
+  short_frame.put_varint(1);
+  short_frame.put_varint(0);
+  EXPECT_DEATH(decode_clock(short_frame), "codec under-run \\(clock\\)");
+}
 
-  // ...so the next stamped message still delta-compresses.
-  m.stamp.increment(3);
-  const std::vector<std::byte> delta = m.encode(tx);
-  EXPECT_LT(delta.size(), m.encode().size());
-  Message::decode_into(delta, out, &rx);
-  EXPECT_EQ(out.stamp, m.stamp);
+TEST(CodecAdversarialDeathTest, ClockIndexOutOfRangeIsRejected) {
+  // A gap past the last index, and one that would overflow the index
+  // arithmetic if it were added before the check.
+  for (const std::uint64_t gap : {std::uint64_t{4}, std::uint64_t{UINT32_MAX},
+                                  std::uint64_t{UINT64_MAX}}) {
+    ByteWriter w;
+    w.put_varint(4);
+    w.put_varint(1);
+    w.put_varint(gap);
+    w.put_varint(1);
+    EXPECT_DEATH(decode_clock(w), "clock index out of range") << "gap " << gap;
+  }
+  // The second component's gap counts from one past the first's index:
+  // index 2, then 2 + 1 + 1 = 4, past n = 4.
+  ByteWriter w;
+  w.put_varint(4);
+  w.put_varint(2);
+  w.put_varint(2);
+  w.put_varint(1);
+  w.put_varint(1);
+  w.put_varint(1);
+  EXPECT_DEATH(decode_clock(w), "clock index out of range");
+}
+
+TEST(CodecAdversarialDeathTest, ClockZeroComponentIsRejected) {
+  // A stored zero would make the storage form disagree with the contents,
+  // and then equal clocks could compare unequal.
+  ByteWriter w;
+  w.put_varint(4);
+  w.put_varint(2);
+  w.put_varint(0);
+  w.put_varint(5);
+  w.put_varint(1);
+  w.put_varint(0);
+  EXPECT_DEATH(decode_clock(w), "clock component is zero");
 }
 
 TEST(CodecAdversarial, FrameArenaRecyclesCapacity) {

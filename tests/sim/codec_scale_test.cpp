@@ -1,10 +1,9 @@
 // The byte codec is transparent at simulation scale: the sharded
-// configuration of the 256-node benchmark, built at 64 nodes straight
-// through DsmSystem with SystemOptions::sim, runs the same seeded random
-// walk with every message round-tripped through the codec (per-channel
-// clock-delta chains included) and without it, and the two executions must
-// be identical step for step. This is the test that drives sparse clocks
-// through full and delta frames at a large n.
+// configuration of the 256-node benchmark, built at its full 256 nodes
+// straight through DsmSystem with SystemOptions::sim, runs the same seeded
+// random walk with every message round-tripped through the codec and
+// without it, and the two executions must be identical step for step. This
+// is the test that drives clocks through the wire frame at a large n.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,7 +21,7 @@
 namespace causalmem::sim {
 namespace {
 
-constexpr std::size_t kNodes = 64;
+constexpr std::size_t kNodes = 256;
 constexpr std::size_t kGroup = 4;         ///< nodes sharing addresses
 constexpr std::size_t kAddrsPerGroup = 4;
 constexpr std::size_t kOpsPerNode = 4;

@@ -2,11 +2,12 @@
 // operation sequences at every clock size the system runs (3-4 threaded
 // nodes up to 1,024 simulated ones) and every density from one nonzero to
 // all, so clocks of both forms meet in every operation, plus the wire bytes
-// of full frames, delta chains and empty-clock transparency against a dense
-// reference encoder.
+// of the clock frame against a reference encoder that works from the dense
+// components, and frame round trips at every size and form.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -177,10 +178,11 @@ TEST(SparseClock, OneNonzeroOfManyStoresOneEntry) {
   EXPECT_EQ(c[700], 2u);
   EXPECT_EQ(c[699], 0u);
 
-  // A decoded full frame (1,024 components on the wire) stores one too.
+  // Its frame is the one component too: n = 1,024 (2 bytes), one nonzero
+  // (1), index gap 700 (2) and value 2 (1). The decoded clock stores one.
   ByteWriter w;
   c.encode(w);
-  EXPECT_EQ(w.bytes().size(), 1 + 4 + 8 * 1024u);
+  EXPECT_EQ(w.bytes().size(), 6u);
   ByteReader r(w.bytes());
   const VectorClock back = VectorClock::decode(r);
   EXPECT_EQ(back.nonzero_count(), 1u);
@@ -218,91 +220,113 @@ TEST(SparseClock, PassingTheThresholdSwitchesToTheDenseForm) {
 
 // Wire bytes ---------------------------------------------------------------
 
-/// A dense encoder with the wire format's rules spelled out directly.
-struct DenseEncoder {
-  Dense baseline;
-
-  static void full(ByteWriter& w, const Dense& c) {
-    w.put<std::uint8_t>(VectorClock::kWireFull);
-    w.put_count(c.size());
-    for (const std::uint64_t v : c) w.put<std::uint64_t>(v);
-  }
-
-  void encode(ByteWriter& w, const Dense& c) {
-    if (c.empty()) {  // transparent to the baseline
-      full(w, c);
-      return;
+/// The clock frame written straight from dense components, with its own
+/// LEB128 writer: n, the nonzero count, then for each nonzero component the
+/// number of zeros skipped since the previous one and its value.
+std::vector<std::byte> reference_frame(const Dense& c) {
+  std::vector<std::byte> out;
+  const auto varint = [&out](std::uint64_t v) {
+    do {
+      const auto low = static_cast<std::uint8_t>(v & 0x7f);
+      v >>= 7;
+      out.push_back(static_cast<std::byte>(v != 0 ? low | 0x80 : low));
+    } while (v != 0);
+  };
+  varint(c.size());
+  varint(static_cast<std::uint64_t>(
+      std::ranges::count_if(c, [](std::uint64_t v) { return v != 0; })));
+  std::uint64_t zeros = 0;
+  for (const std::uint64_t v : c) {
+    if (v == 0) {
+      ++zeros;
+      continue;
     }
-    if (baseline.size() == c.size()) {
-      std::size_t ndeltas = 0;
-      for (std::size_t i = 0; i < c.size(); ++i) ndeltas += c[i] != baseline[i];
-      if (8 + 12 * ndeltas < 4 + 8 * c.size()) {
-        w.put<std::uint8_t>(VectorClock::kWireDelta);
-        w.put_count(c.size());
-        w.put<std::uint32_t>(static_cast<std::uint32_t>(ndeltas));
-        for (std::size_t i = 0; i < c.size(); ++i) {
-          if (c[i] != baseline[i]) {
-            w.put<std::uint32_t>(static_cast<std::uint32_t>(i));
-            w.put<std::uint64_t>(c[i]);
-          }
-        }
-        baseline = c;
-        return;
-      }
-    }
-    full(w, c);
-    baseline = c;
+    varint(zeros);
+    varint(v);
+    zeros = 0;
   }
-};
+  return out;
+}
+
+/// A nonzero value of a random byte length on the wire, 1 to 10 bytes.
+std::uint64_t random_value(Rng& rng) {
+  switch (rng.next_below(4)) {
+    case 0: return 1 + rng.next_below(5);
+    case 1: return UINT64_MAX;
+    default: return (rng.next() >> rng.next_below(64)) | 1;
+  }
+}
+
+/// A clock of size n with exactly `nonzeros` nonzero components at distinct
+/// random indices.
+Dense exact_dense(Rng& rng, std::size_t n, std::size_t nonzeros) {
+  std::vector<std::size_t> idx(n);
+  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  Dense d(n, 0);
+  for (std::size_t k = 0; k < nonzeros; ++k) {
+    std::swap(idx[k], idx[k + rng.next_below(n - k)]);
+    d[idx[k]] = random_value(rng);
+  }
+  return d;
+}
 
 TEST(SparseClock, WireBytesMatchADenseEncoder) {
   for (const std::size_t n : kSizes) {
     Rng rng(n + 1);
-    ClockCodecState tx;
-    ClockCodecState rx;
-    DenseEncoder ref;
-    Dense cur = random_dense(rng, n, 1);
     VectorClock decoded;  // reused across frames, as the transports do
-    for (int frame = 0; frame < 600; ++frame) {
-      Dense next;
-      switch (rng.next_below(6)) {
-        case 0:  // stamp-less control frame
-          break;
-        case 1:  // an unrelated clock: usually a full frame
-          cur = random_dense(rng, n, 1 + rng.next_below(n));
-          next = cur;
-          break;
-        case 2:  // a resized clock breaks the chain
-          next = random_dense(rng, n + 1, 2);
-          break;
-        default:  // a few components move: usually a delta frame
-          for (std::size_t k = 1 + rng.next_below(3); k > 0; --k) {
-            ++cur[rng.next_below(n)];
-          }
-          next = cur;
-          break;
-      }
-      const VectorClock clock(next);
-
-      ByteWriter stateless;
-      clock.encode(stateless);
-      ByteWriter stateless_ref;
-      DenseEncoder::full(stateless_ref, next);
-      ASSERT_TRUE(std::ranges::equal(stateless.bytes(), stateless_ref.bytes()));
-
+    for (int frame = 0; frame < 300; ++frame) {
+      const Dense dense = exact_dense(rng, n, rng.next_below(n + 1));
+      const VectorClock clock(dense);
       ByteWriter w;
-      clock.encode(w, tx);
-      ByteWriter want;
-      ref.encode(want, next);
-      ASSERT_TRUE(std::ranges::equal(w.bytes(), want.bytes()))
+      clock.encode(w);
+      ASSERT_TRUE(std::ranges::equal(w.bytes(), reference_frame(dense)))
           << "n=" << n << " frame=" << frame;
-      ASSERT_EQ(tx.baseline, ref.baseline);
-
       ByteReader r(w.bytes());
-      decoded.decode_in_place(r, &rx);
+      decoded.decode_in_place(r);
       EXPECT_TRUE(r.exhausted());
-      ASSERT_NO_FATAL_FAILURE(expect_matches(decoded, next));
-      ASSERT_EQ(rx.baseline, ref.baseline);
+      ASSERT_NO_FATAL_FAILURE(expect_matches(decoded, dense));
+    }
+  }
+  // The empty clock of a stamp-less message: n = 0, no nonzeros.
+  ByteWriter w;
+  VectorClock().encode(w);
+  EXPECT_TRUE(std::ranges::equal(w.bytes(), reference_frame({})));
+  EXPECT_EQ(w.bytes().size(), 2u);
+}
+
+TEST(SparseClock, FramesRoundTripAtEverySizeAndForm) {
+  // One target decodes every frame, so its storage is reused across sizes
+  // and between the sparse and dense forms in both directions.
+  VectorClock reused;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                              std::size_t{4}, std::size_t{64},
+                              std::size_t{256}, std::size_t{1024}}) {
+    const auto limit =
+        static_cast<std::size_t>(VectorClock::dense_above(
+            static_cast<std::uint32_t>(n)));
+    // None, one, the last sparse count, the first dense one, half, all.
+    for (const std::size_t want :
+         {std::size_t{0}, std::size_t{1}, limit, limit + 1, n / 2, n}) {
+      const std::size_t nonzeros = std::min(want, n);
+      Rng rng(n * 31 + nonzeros);
+      for (int round = 0; round < 8; ++round) {
+        const Dense dense = exact_dense(rng, n, nonzeros);
+        const VectorClock clock(dense);
+        ByteWriter w;
+        clock.encode(w);
+
+        ByteReader fresh(w.bytes());
+        const VectorClock back = VectorClock::decode(fresh);
+        EXPECT_TRUE(fresh.exhausted());
+        ASSERT_EQ(back, clock) << "n=" << n << " nonzeros=" << nonzeros;
+        ASSERT_EQ(back.dense(), clock.dense());
+
+        ByteReader again(w.bytes());
+        reused.decode_in_place(again);
+        ASSERT_EQ(reused, clock) << "n=" << n << " nonzeros=" << nonzeros;
+        ASSERT_EQ(reused.dense(), clock.dense());
+        ASSERT_NO_FATAL_FAILURE(expect_matches(reused, dense));
+      }
     }
   }
 }
