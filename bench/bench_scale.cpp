@@ -8,9 +8,13 @@
 // stay flat as the node count grows (per-write message cost O(|copyset|),
 // not O(n)). Because the whole execution is virtual-time deterministic, the
 // message metrics are bit-stable run to run — so unlike the wall-clock
-// benches, --compare gates HARD on msgs_per_op drift against the committed
-// snapshot (bench/BENCH_10.json), not on noisy rates. Wall-clock sim
-// throughput is reported for trend-watching only.
+// benches, --compare gates EXACTLY: every cell's message count must equal
+// the committed snapshot's (bench/BENCH_10.json). A change that means to
+// move a count re-commits the snapshot. Wall-clock sim throughput is
+// reported for trend-watching only.
+//
+// The node axis is 16, 64, 256 and 1,024; --max-nodes (default 256) caps
+// it, so --max-nodes 1024 adds the four 1,024-node cells.
 //
 // Every cell's history is also checked with check_consistency(); an
 // inconsistent execution exits non-zero (a benchmark that got faster by
@@ -129,8 +133,10 @@ int main(int argc, char** argv) {
   const std::string compare_path = parse_flag_value(argc, argv, "--compare");
 
   std::vector<Cell> grid;
+  // Seeds follow grid order. The axis ascends and --max-nodes cuts only its
+  // tail, so every cell keeps its seed whatever the cap.
   for (const std::size_t nodes : {std::size_t{16}, std::size_t{64},
-                                  std::size_t{256}}) {
+                                  std::size_t{256}, std::size_t{1024}}) {
     if (nodes > max_nodes) continue;
     for (const std::size_t addrs : {std::size_t{4}, std::size_t{16}}) {
       for (const std::uint64_t wpct : {std::uint64_t{20}, std::uint64_t{50}}) {
@@ -199,30 +205,31 @@ int main(int argc, char** argv) {
   }
 
   if (!compare_path.empty()) {
-    const auto baseline = load_baseline(compare_path, "msgs_per_op");
+    const auto baseline = load_baseline(compare_path, "messages");
     std::printf("\nvs baseline %s:\n", compare_path.c_str());
-    bool regressed = false;
+    std::size_t changed = 0;
     for (std::size_t i = 0; i < exporter.run_count(); ++i) {
       const obs::RunMetrics& rm = exporter.run(i);
       for (const auto& [label, base] : baseline) {
         if (label != rm.label) continue;
         double now = 0.0;
         for (const auto& [k, v] : rm.values) {
-          if (k == "msgs_per_op") now = v;
+          if (k == "messages") now = v;
         }
-        const double ratio = base > 0.0 ? now / base : 1.0;
-        std::printf("  %-14s %8.3f -> %8.3f msgs/op  (%.2fx)\n",
-                    label.c_str(), base, now, ratio);
-        // Strict gate: message counts in the deterministic sim only move
-        // when the protocol changes, so a >25% per-op growth is a real
-        // fan-out regression, not noise. (Cells differ between snapshots
-        // when the grid changes; only matching labels are compared.)
-        if (ratio > 1.25) regressed = true;
+        // Exact gate: the simulated execution is deterministic, so its
+        // message count moves only when the protocol does, in either
+        // direction. (Only labels both grids hold are compared.)
+        const bool same = now == base;
+        if (!same) ++changed;
+        std::printf("  %-14s %8.0f -> %8.0f messages  %s\n", label.c_str(),
+                    base, now, same ? "same" : "CHANGED");
       }
     }
-    if (regressed) {
+    if (changed != 0) {
       std::fprintf(stderr,
-                   "FATAL: msgs/op regressed more than 1.25x vs baseline\n");
+                   "FATAL: %zu cell(s) changed their message count vs "
+                   "baseline\n",
+                   changed);
       return 1;
     }
   }

@@ -62,6 +62,11 @@ class InMemTransport final : public Transport {
     return delivered_.load(std::memory_order_relaxed);
   }
 
+  /// Delivery workers blocked on an empty queue. Such a worker runs again
+  /// only when a send notifies it; send_held() does not, so once every
+  /// worker is parked a held message is delivered by its requester.
+  [[nodiscard]] std::size_t parked_workers() const;
+
   /// Overrides the latency of one directed channel (tests drive specific
   /// interleavings with this, e.g. the Figure 3 counterexample). Must be
   /// called before start() — enforced; DsmSystem callers pass
@@ -94,6 +99,7 @@ class InMemTransport final : public Transport {
     // worker or by a caller-run requester.
     bool delivering{false};
     bool stopped{false};
+    bool parked{false};  ///< the worker waits on an empty queue
     std::jthread worker;
   };
 

@@ -101,10 +101,15 @@ inline constexpr std::size_t kNumCounters =
 [[nodiscard]] const char* counter_name(Counter c) noexcept;
 
 /// Latency distributions recorded next to the counters (obs::Histogram,
-/// log-bucketed, mergeable). Values are nanoseconds.
+/// log-bucketed, mergeable). Values are nanoseconds. The read and write
+/// histograms hold only operations that waited on another node: a read
+/// served from the node's own memory (owned cell, valid cached copy,
+/// broadcast replica) or an owned write records no sample and reads no
+/// clock unless a tracer or an observer consumes the reading
+/// (dsm/op_clock.hpp). read.hit and write.local count those.
 enum class LatencyMetric : std::size_t {
-  kReadNs = 0,          ///< application-visible read latency
-  kWriteNs,             ///< application-visible write latency
+  kReadNs = 0,          ///< read that sent a request: miss to reply applied
+  kWriteNs,             ///< write that waited on another node
   kOwnerRttNs,          ///< request-send to reply-applied owner round trip
   kRetransmitDelayNs,   ///< first-send to retransmission delay
   kMetricCount,

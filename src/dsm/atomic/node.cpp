@@ -1,24 +1,10 @@
 #include "causalmem/dsm/atomic/node.hpp"
 
 #include "causalmem/common/expect.hpp"
+#include "causalmem/dsm/op_clock.hpp"
 #include "causalmem/obs/trace.hpp"
 
 namespace causalmem {
-
-namespace {
-
-/// Operation-completion span + latency sample (tr may be null: tracing off).
-void record_op_done(NodeStats& stats, obs::Tracer* tr, LatencyMetric metric,
-                    obs::TraceEventKind kind, Addr x, const OpTiming& done,
-                    std::uint64_t trace_id = 0) noexcept {
-  const std::uint64_t dur = done.end_ns - done.start_ns;
-  stats.record_latency(metric, dur);
-  if (tr != nullptr) {
-    tr->record(kind, 0, kNoNode, x, nullptr, done.start_ns, dur, trace_id);
-  }
-}
-
-}  // namespace
 
 AtomicNode::AtomicNode(NodeId id, std::size_t n, const Ownership& ownership,
                        Transport& transport, NodeStats& stats,
@@ -38,11 +24,14 @@ AtomicNode::AtomicNode(NodeId id, std::size_t n, const Ownership& ownership,
 // --------------------------------------------------------------------------
 
 Value AtomicNode::read(Addr x) {
-  const OpTiming op_start = OpTiming::begin();
-  obs::Tracer* const tr = stats_.tracer();
+  OpClock clock(stats_, observer_);
+  obs::Tracer* const tr = clock.tracer();
+  const bool owned = ownership_.owner(x) == id_;
+  // An owner read may wait out an invalidation round: timed like a miss.
+  if (owned) clock.start();
   {
     std::unique_lock lock(mu_);
-    if (ownership_.owner(x) == id_) {
+    if (owned) {
       // Strong consistency: do not expose a value mid-invalidation-round.
       write_done_cv_.wait(lock, [&] { return !in_flight_.contains(x); });
       OwnedCell& c = owned_cell(x);
@@ -52,9 +41,8 @@ Value AtomicNode::read(Addr x) {
       }
       const Value v = c.value;
       const WriteTag tag = c.tag;
-      const OpTiming done = op_start.close();
-      record_op_done(stats_, tr, LatencyMetric::kReadNs,
-                     obs::TraceEventKind::kReadDone, x, done);
+      const OpTiming done = clock.timed_done(
+          LatencyMetric::kReadNs, obs::TraceEventKind::kReadDone, x);
       if (observer_ != nullptr) {
         observer_->on_read(id_, x, v, tag, done);
       }
@@ -67,15 +55,15 @@ Value AtomicNode::read(Addr x) {
       }
       const Value v = it->second.value;
       const WriteTag tag = it->second.tag;
-      const OpTiming done = op_start.close();
-      record_op_done(stats_, tr, LatencyMetric::kReadNs,
-                     obs::TraceEventKind::kReadDone, x, done);
+      const OpTiming done =
+          clock.local_done(obs::TraceEventKind::kReadDone, x);
       if (observer_ != nullptr) {
         observer_->on_read(id_, x, v, tag, done);
       }
       return v;
     }
     stats_.bump(Counter::kReadMiss);
+    clock.start();
     if (tr != nullptr) {
       tr->record(obs::TraceEventKind::kReadMiss, 0, ownership_.owner(x), x);
     }
@@ -106,9 +94,8 @@ Value AtomicNode::read(Addr x) {
   // sent before it stops the install (PendingRequest).
   std::unique_lock lock(mu_);
   reply_cv_.wait(lock, [&slot] { return slot.done; });
-  const OpTiming done = op_start.close();
-  record_op_done(stats_, tr, LatencyMetric::kReadNs,
-                 obs::TraceEventKind::kReadDone, x, done, tid);
+  const OpTiming done = clock.timed_done(
+      LatencyMetric::kReadNs, obs::TraceEventKind::kReadDone, x, tid);
   if (observer_ != nullptr) {
     observer_->on_read(id_, x, slot.value, slot.tag, done);
   }
@@ -116,8 +103,10 @@ Value AtomicNode::read(Addr x) {
 }
 
 void AtomicNode::write(Addr x, Value v) {
-  const OpTiming op_start = OpTiming::begin();
-  obs::Tracer* const tr = stats_.tracer();
+  // Every write waits on other nodes: a remote one for its owner, an owned
+  // one for its invalidation round.
+  OpClock clock(stats_, observer_);
+  clock.start();
   if (ownership_.owner(x) == id_) {
     std::unique_lock lock(mu_);
     stats_.bump(Counter::kWriteLocal);
@@ -134,9 +123,8 @@ void AtomicNode::write(Addr x, Value v) {
         return it == in_flight_.end() || !(it->second.tag == tag);
       });
     }
-    const OpTiming done = op_start.close();
-    record_op_done(stats_, tr, LatencyMetric::kWriteNs,
-                   obs::TraceEventKind::kWriteDone, x, done, tid);
+    const OpTiming done = clock.timed_done(
+        LatencyMetric::kWriteNs, obs::TraceEventKind::kWriteDone, x, tid);
     if (observer_ != nullptr) {
       observer_->on_write(id_, x, v, tag, true, done);
     }
@@ -170,9 +158,8 @@ void AtomicNode::write(Addr x, Value v) {
   // The cache install happened in complete_pending (FIFO-safe).
   std::unique_lock lock(mu_);
   reply_cv_.wait(lock, [&slot] { return slot.done; });
-  const OpTiming done = op_start.close();
-  record_op_done(stats_, tr, LatencyMetric::kWriteNs,
-                 obs::TraceEventKind::kWriteDone, x, done, tid);
+  const OpTiming done = clock.timed_done(
+      LatencyMetric::kWriteNs, obs::TraceEventKind::kWriteDone, x, tid);
   if (observer_ != nullptr) {
     observer_->on_write(id_, x, v, tag, true, done);
   }

@@ -2,6 +2,7 @@
 
 #include "causalmem/common/coop.hpp"
 #include "causalmem/common/expect.hpp"
+#include "causalmem/dsm/op_clock.hpp"
 #include "causalmem/obs/trace.hpp"
 
 namespace causalmem {
@@ -22,8 +23,8 @@ BroadcastNode::BroadcastNode(NodeId id, std::size_t n,
 }
 
 Value BroadcastNode::read(Addr x) {
-  const OpTiming op_start = OpTiming::begin();
-  obs::Tracer* const tr = stats_.tracer();
+  const OpClock clock(stats_, observer_);
+  obs::Tracer* const tr = clock.tracer();
   std::unique_lock lock(mu_);
   stats_.bump(Counter::kReadHit);  // replica reads are always local
   if (tr != nullptr) {
@@ -32,13 +33,7 @@ Value BroadcastNode::read(Addr x) {
   const auto it = store_.find(x);
   const Value v = it != store_.end() ? it->second.value : kInitialValue;
   const WriteTag tag = it != store_.end() ? it->second.tag : WriteTag{};
-  const OpTiming done = op_start.close();
-  const std::uint64_t dur = done.end_ns - done.start_ns;
-  stats_.record_latency(LatencyMetric::kReadNs, dur);
-  if (tr != nullptr) {
-    tr->record(obs::TraceEventKind::kReadDone, 0, kNoNode, x, nullptr,
-               done.start_ns, dur);
-  }
+  const OpTiming done = clock.local_done(obs::TraceEventKind::kReadDone, x);
   if (observer_ != nullptr) {
     observer_->on_read(id_, x, v, tag, done);
   }
@@ -46,8 +41,8 @@ Value BroadcastNode::read(Addr x) {
 }
 
 void BroadcastNode::write(Addr x, Value v) {
-  const OpTiming op_start = OpTiming::begin();
-  obs::Tracer* const tr = stats_.tracer();
+  // The write completes at this replica; the fan-out below waits on nobody.
+  const OpClock clock(stats_, observer_);
   Message m;
   {
     std::unique_lock lock(mu_);
@@ -59,13 +54,8 @@ void BroadcastNode::write(Addr x, Value v) {
     ++applied_total_;
     store_[x] = StoredCell{v, tag};
     const std::uint64_t tid = new_trace_id();
-    const OpTiming done = op_start.close();
-    const std::uint64_t dur = done.end_ns - done.start_ns;
-    stats_.record_latency(LatencyMetric::kWriteNs, dur);
-    if (tr != nullptr) {
-      tr->record(obs::TraceEventKind::kWriteDone, 0, kNoNode, x, nullptr,
-                 done.start_ns, dur, tid);
-    }
+    const OpTiming done =
+        clock.local_done(obs::TraceEventKind::kWriteDone, x, tid);
     if (observer_ != nullptr) {
       observer_->on_write(id_, x, v, tag, true, done);
     }

@@ -6,27 +6,12 @@
 #include "causalmem/common/coop.hpp"
 #include "causalmem/common/expect.hpp"
 #include "causalmem/dsm/causal/recovery.hpp"
+#include "causalmem/dsm/op_clock.hpp"
 #include "causalmem/obs/clock.hpp"
 #include "causalmem/obs/flight_recorder.hpp"
 #include "causalmem/obs/trace.hpp"
 
 namespace causalmem {
-
-namespace {
-
-/// Records an operation-completion span and its latency sample. `tr` may be
-/// null (tracing off) — the latency histogram is always recorded.
-void record_op_done(NodeStats& stats, obs::Tracer* tr, LatencyMetric metric,
-                    obs::TraceEventKind kind, Addr x, const OpTiming& done,
-                    std::uint64_t trace_id = 0) noexcept {
-  const std::uint64_t dur = done.end_ns - done.start_ns;
-  stats.record_latency(metric, dur);
-  if (tr != nullptr) {
-    tr->record(kind, 0, kNoNode, x, nullptr, done.start_ns, dur, trace_id);
-  }
-}
-
-}  // namespace
 
 CausalNode::CausalNode(NodeId id, std::size_t n, const Ownership& ownership,
                        Transport& transport, NodeStats& stats,
@@ -70,8 +55,8 @@ Value CausalNode::read(Addr x) {
 }
 
 ReadResult CausalNode::try_read(Addr x) {
-  const OpTiming op_start = OpTiming::begin();
-  obs::Tracer* const tr = stats_.tracer();
+  OpClock clock(stats_, observer_);
+  obs::Tracer* const tr = clock.tracer();
   const std::uint64_t pg = page_of(x);
   // Correlation id for the whole miss (all retry rounds share it); 0 until
   // the operation is known to go remote.
@@ -87,9 +72,8 @@ ReadResult CausalNode::try_read(Addr x) {
       }
       const Value v = c.value;
       const WriteTag tag = c.tag;
-      const OpTiming done = op_start.close();
-      record_op_done(stats_, tr, LatencyMetric::kReadNs,
-                     obs::TraceEventKind::kReadDone, x, done);
+      const OpTiming done =
+          clock.local_done(obs::TraceEventKind::kReadDone, x);
       if (observer_ != nullptr) {
         observer_->on_read(id_, x, v, tag, done);
       }
@@ -105,9 +89,8 @@ ReadResult CausalNode::try_read(Addr x) {
         }
         const Value v = c.value;
         const WriteTag tag = c.tag;
-        const OpTiming done = op_start.close();
-        record_op_done(stats_, tr, LatencyMetric::kReadNs,
-                       obs::TraceEventKind::kReadDone, x, done);
+        const OpTiming done =
+            clock.local_done(obs::TraceEventKind::kReadDone, x);
         if (observer_ != nullptr) {
           observer_->on_read(id_, x, v, tag, done);
         }
@@ -115,6 +98,7 @@ ReadResult CausalNode::try_read(Addr x) {
       }
     }
     stats_.bump(Counter::kReadMiss);
+    clock.start();
     tid = new_trace_id();
     if (tr != nullptr) {
       tr->record(obs::TraceEventKind::kReadMiss, 0, owner_of(x), x, &vt_, 0, 0,
@@ -142,7 +126,7 @@ ReadResult CausalNode::try_read(Addr x) {
       target = owner_of(x);
       rid = next_rid_++;
       epoch_at_send = transport_.endpoint_epoch(id_);
-      register_pending(rid, &slot, op_start.start_ns, tid).serve_snapshot =
+      register_pending(rid, &slot, clock.start_ns(), tid).serve_snapshot =
           served_merges_;
       Message req;
       req.type = MsgType::kRead;
@@ -168,8 +152,8 @@ ReadResult CausalNode::try_read(Addr x) {
     const std::uint64_t deadline = bounded ? obs::now_ns() + timeout_ns : 0;
     if (await_reply(slot, rid, deadline)) {
       const Value v = slot.value;
-      record_op_done(stats_, tr, LatencyMetric::kReadNs,
-                     obs::TraceEventKind::kReadDone, x, op_start.close(), tid);
+      clock.timed_done(LatencyMetric::kReadNs, obs::TraceEventKind::kReadDone,
+                       x, tid);
       return ReadResult{OpStatus::kOk, v};
     }
     on_round_timeout(target, epoch_at_send);
@@ -193,8 +177,8 @@ void CausalNode::write(Addr x, Value v) {
 }
 
 OpStatus CausalNode::try_write(Addr x, Value v) {
-  const OpTiming op_start = OpTiming::begin();
-  obs::Tracer* const tr = stats_.tracer();
+  OpClock clock(stats_, observer_);
+  obs::Tracer* const tr = clock.tracer();
   const std::uint64_t pg = page_of(x);
   // The entire issue sequence — clock increment, observation, local
   // install, and the send — happens under ONE hold of the operation mutex,
@@ -225,9 +209,7 @@ OpStatus CausalNode::try_write(Addr x, Value v) {
     if (recovery_ != nullptr) recovery_->on_apply(x, c);
     queue_inval_notices(x, id_);
     stats_.bump(Counter::kWriteLocal);
-    const OpTiming done = op_start.close();
-    record_op_done(stats_, tr, LatencyMetric::kWriteNs,
-                   obs::TraceEventKind::kWriteDone, x, done);
+    const OpTiming done = clock.local_done(obs::TraceEventKind::kWriteDone, x);
     if (observer_ != nullptr) {
       observer_->on_write(id_, x, v, tag, true, done);
     }
@@ -240,6 +222,7 @@ OpStatus CausalNode::try_write(Addr x, Value v) {
   NodeId target = owner_of(x);
   const VectorClock stamp_at_issue = vt_;
   stats_.bump(Counter::kWriteRemote);
+  clock.start();
   // Remember our latest write into this page so read replies that predate
   // it (race: READ overtaken by this WRITE's effect) are retried.
   own_writes_[pg].outstanding.insert(tag.seq);
@@ -257,7 +240,7 @@ OpStatus CausalNode::try_write(Addr x, Value v) {
   // checker reject correct read-through executions.
   if (observer_ != nullptr) {
     observer_->on_write(id_, x, v, tag, true,
-                        OpTiming{op_start.start_ns, 0});
+                        OpTiming{clock.start_ns(), 0});
   }
   // Install the written value locally at issue time (with the issue stamp —
   // the certified reply refreshes it). A sibling application thread that
@@ -270,7 +253,7 @@ OpStatus CausalNode::try_write(Addr x, Value v) {
   const std::uint64_t tid = new_trace_id();
   std::uint64_t rid = next_rid_++;
   ReplySlot slot;
-  register_pending(rid, async ? nullptr : &slot, op_start.start_ns, tid);
+  register_pending(rid, async ? nullptr : &slot, clock.start_ns(), tid);
   if (async) {
     ++outstanding_async_;
     async_chain_owner_ = target;
@@ -292,8 +275,8 @@ OpStatus CausalNode::try_write(Addr x, Value v) {
     lock.unlock();
     // Certification happens in the background (complete_pending); deadline
     // handling does not apply — flush() is the fence.
-    record_op_done(stats_, tr, LatencyMetric::kWriteNs,
-                   obs::TraceEventKind::kWriteDone, x, op_start.close(), tid);
+    clock.timed_done(LatencyMetric::kWriteNs, obs::TraceEventKind::kWriteDone,
+                     x, tid);
     return OpStatus::kOk;
   }
   // Caller-run delivery: the WRITE takes its channel position here, under
@@ -317,7 +300,7 @@ OpStatus CausalNode::try_write(Addr x, Value v) {
       target = owner_of(x);
       rid = next_rid_++;
       epoch_at_send = transport_.endpoint_epoch(id_);
-      register_pending(rid, &slot, op_start.start_ns, tid);
+      register_pending(rid, &slot, clock.start_ns(), tid);
       Message retry = req;
       retry.to = target;
       retry.request_id = rid;
@@ -331,9 +314,8 @@ OpStatus CausalNode::try_write(Addr x, Value v) {
       // Clock merge and cache refresh happened in complete_pending, in
       // FIFO position (see the read path comment) — on this very thread
       // when the WRITE was delivered here and its reply came back inline.
-      record_op_done(stats_, tr, LatencyMetric::kWriteNs,
-                     obs::TraceEventKind::kWriteDone, x, op_start.close(),
-                     tid);
+      clock.timed_done(LatencyMetric::kWriteNs,
+                       obs::TraceEventKind::kWriteDone, x, tid);
       return OpStatus::kOk;
     }
     on_round_timeout(target, epoch_at_send);
@@ -739,8 +721,16 @@ void CausalNode::complete_pending(const Message& m) {
       } else {
         invalidate_cache(m.stamp, pg, m.trace_id);
         served_merges_.update(m.stamp);
-        install_page(pg, std::move(cp));
-        evict_over_capacity();
+        if (owner_of(m.addr) != id_) {
+          install_page(pg, std::move(cp));
+          evict_over_capacity();
+        } else if (auto old = cache_.find(pg); old != cache_.end()) {
+          // An owner never caches a page it owns: once the page is elected
+          // its reads go to owned_, and a copy would only lengthen every
+          // later sweep. (Only a failover node's self-READ of a page it has
+          // not yet elected gets here.)
+          erase_page(old);
+        }
       }
     }
     // The read returns the post-merge cell and is observed at its effect

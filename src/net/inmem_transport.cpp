@@ -232,8 +232,11 @@ void InMemTransport::run_endpoint(Endpoint& ep) {
   std::unique_lock lock(ep.mu);
   for (;;) {
     ep.cv.wait(lock, [&] {
-      return ep.stopped || (!ep.queue.empty() && !ep.delivering);
+      const bool ready = ep.stopped || (!ep.queue.empty() && !ep.delivering);
+      ep.parked = !ready && ep.queue.empty();
+      return ready;
     });
+    ep.parked = false;
     if (ep.stopped) return;  // shutdown() dropped the queue
     const auto deliver_at = ep.queue.top().deliver_at;
     if (deliver_at > Clock::now()) {
@@ -253,6 +256,15 @@ void InMemTransport::run_endpoint(Endpoint& ep) {
     }
     deliver_next(ep, lock);
   }
+}
+
+std::size_t InMemTransport::parked_workers() const {
+  std::size_t parked = 0;
+  for (const auto& ep : endpoints_) {
+    std::scoped_lock lock(ep->mu);
+    if (ep->parked) ++parked;
+  }
+  return parked;
 }
 
 void InMemTransport::shutdown() {

@@ -279,6 +279,13 @@ class ThreadRecordingTransport final : public Transport {
     return handled_on_[type];
   }
 
+  /// Returns once every delivery worker waits on an empty queue.
+  void wait_until_idle() const {
+    while (inner_.parked_workers() < inner_.node_count()) {
+      std::this_thread::yield();
+    }
+  }
+
  private:
   InMemTransport inner_;
   std::mutex mu_;
@@ -295,6 +302,10 @@ TEST(CausalNode, BlockingRemoteWriteRunsOnTheWritersThread) {
   CausalNode n0(0, 2, ownership, t, stats.node(0), {});
   CausalNode n1(1, 2, ownership, t, stats.node(1), {});
   t.start();
+  // Idle means parked: a worker that makes its first queue check only
+  // after the held WRITE is queued would deliver the WRITE itself, which
+  // the transport allows.
+  t.wait_until_idle();
   n0.write(1, 5);  // node 1 owns address 1
   EXPECT_EQ(t.handled_on(MsgType::kWrite), std::this_thread::get_id());
   EXPECT_EQ(t.handled_on(MsgType::kWriteReply), std::this_thread::get_id());

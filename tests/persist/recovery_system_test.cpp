@@ -211,6 +211,41 @@ TEST(DurableRecovery, LostDiskEpochReElectsInsteadOfRollingBack) {
   EXPECT_TRUE(cons.ok()) << cons.reason;
 }
 
+TEST(DurableRecovery, SelfServedReadsLeaveNoCopyOfAnOwnedPage) {
+  // A node that lost its disk reads each of its own pages through a READ to
+  // itself, which first wins the page's election. The R_REPLY returns the
+  // elected value but caches nothing: the page is owned, so later reads go
+  // to the owned cell, and a copy would only lengthen every later sweep.
+  persist::MemVfs vfs;
+  Recorder recorder(2);
+  DsmSystem<CausalNode> sys(2, deadline_config(), persist_options(&vfs),
+                            nullptr, &recorder);
+  const std::vector<Addr> owned = {0, 2, 4};
+  for (const Addr a : owned) {
+    ASSERT_EQ(sys.node(0).try_write(a, static_cast<Value>(a) + 10),
+              OpStatus::kOk);
+    // Node 1's journal keeps the value, so the election can restore it.
+    ASSERT_TRUE(sys.node(1).try_read(a).ok());
+  }
+
+  sys.faulty_transport()->crash_node(0);
+  sys.store(0)->lose_disk();
+  ASSERT_TRUE(sys.restart_node(0));
+  for (const Addr a : owned) {
+    const ReadResult r = sys.node(0).try_read(a);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value, static_cast<Value>(a) + 10);
+    EXPECT_FALSE(sys.node(0).is_cached(a)) << "address " << a;
+  }
+  EXPECT_EQ(sys.node(0).cached_page_count(), 0u);
+  EXPECT_EQ(sys.stats().node_snapshot(0)[Counter::kMsgReadRequest],
+            owned.size());
+
+  sys.shutdown();
+  const ConsistencyReport cons = check_consistency(recorder.history());
+  EXPECT_TRUE(cons.ok()) << cons.reason;
+}
+
 TEST(DurableFailover, SuspectPrefersDurableSuccessor) {
   // A durable candidate two steps down the ring beats the volatile direct
   // successor: its checkpoint + WAL survive a later crash of the successor
